@@ -25,7 +25,6 @@
 
 pub mod chaos;
 pub mod figures;
-pub mod ingest;
 pub mod json;
 pub mod obsdiff;
 pub mod perf;

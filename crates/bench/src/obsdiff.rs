@@ -253,7 +253,7 @@ mod tests {
     fn report(timely: u64, late_sum: u64, bucket3: u64) -> Json {
         json::parse(&format!(
             "{{\"counters\": {{\"effect.reads.timely_hit\": {timely}, \
-             \"placement.events\": 12}},\n\"gauges\": {{\"ingest.queue.stripes\": 8}},\n\
+             \"placement.events\": 12}},\n\"gauges\": {{\"ingest.queue.pending\": 8}},\n\
              \"histograms\": {{\"effect.late.lateness_ns\": {{\"count\": 10, \
              \"sum\": {late_sum}, \"buckets\": [[3, {bucket3}], [4, 5]]}}}},\n\
              \"trace_events\": 40}}"

@@ -10,7 +10,9 @@
 //! * the Perfetto rendering is schema-valid and byte-identical across
 //!   worker-thread counts,
 //! * the obs-diff gate passes a report against itself and fails when a
-//!   classification counter is perturbed.
+//!   classification counter is perturbed,
+//! * the ObsReport is diff-stable: keys sorted within every section, and
+//!   no key that names a wall-clock quantity.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::OnceLock;
@@ -153,4 +155,67 @@ fn obs_diff_gate_passes_identical_and_fails_perturbed_classification() {
     let diff = obsdiff::diff(&report, &perturbed, DiffOptions::default()).unwrap();
     assert!(!diff.is_match(), "perturbing `{key}` must fail the gate");
     assert!(diff.failures.iter().any(|f| f.contains(&key)), "{:?}", diff.failures);
+}
+
+/// The byte span of the object value that follows `"name":` in `text`
+/// (braces inside string literals are skipped).
+fn object_span(text: &str, name: &str) -> std::ops::Range<usize> {
+    let header = format!("\"{name}\":");
+    let start = text.find(&header).unwrap_or_else(|| panic!("no `{name}` section")) + header.len();
+    let (mut depth, mut in_str, mut escaped) = (0usize, false, false);
+    for (i, c) in text[start..].char_indices() {
+        match (in_str, c) {
+            (true, _) if escaped => escaped = false,
+            (true, '\\') => escaped = true,
+            (true, '"') => in_str = false,
+            (false, '"') => in_str = true,
+            (false, '{') => depth += 1,
+            (false, '}') => {
+                depth -= 1;
+                if depth == 0 {
+                    return start..start + i + 1;
+                }
+            }
+            _ => {}
+        }
+    }
+    panic!("unterminated `{name}` section")
+}
+
+#[test]
+fn fig5_obs_report_is_sorted_and_sim_clock_only() {
+    let text = &fig5().report;
+    let report = json::parse(text).expect("ObsReport is valid JSON");
+    for section in ["counters", "gauges", "histograms"] {
+        // The parsed object is key-sorted, so the raw text is sorted iff
+        // each key appears after its predecessor within the section.
+        let keys = report.get(section).and_then(Json::as_obj).expect("section object").keys();
+        let span = object_span(text, section);
+        let mut at = span.start;
+        for key in keys {
+            let needle = format!("\"{key}\":");
+            let found = text[at..span.end].find(&needle).unwrap_or_else(|| {
+                panic!("{section} keys are not sorted at `{key}`: diffs will churn")
+            });
+            at += found + needle.len();
+        }
+    }
+    // Token-exact match (split on non-letters): substring matching would
+    // flag legitimate names like `dht.map.updates` ("up-date-s").
+    const FORBIDDEN: [&str; 10] = [
+        "wall", "walltime", "unix", "date", "datetime", "utc", "stamp", "timestamp", "now", "clock",
+    ];
+    fn walk(value: &Json) {
+        let Some(obj) = value.as_obj() else { return };
+        for (key, child) in obj {
+            let lower = key.to_lowercase();
+            let bad: Vec<&str> = lower
+                .split(|c: char| !c.is_ascii_lowercase())
+                .filter(|token| FORBIDDEN.contains(token))
+                .collect();
+            assert!(bad.is_empty(), "wall-clock-ish field: {key} ({bad:?})");
+            walk(child);
+        }
+    }
+    walk(&report);
 }

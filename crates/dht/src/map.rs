@@ -177,74 +177,38 @@ where
     /// input order.
     ///
     /// This is the batched form of [`update_with`] the auditor uses for
-    /// multi-segment reads: a 3-segment request that lands on one shard
-    /// costs one lock acquisition instead of three. Keys are applied
-    /// grouped by shard (input order *within* each shard group), so `f`
-    /// must not depend on cross-key application order — per-key mutations
-    /// in HFetch don't (each segment's update is self-contained).
+    /// multi-segment reads and epoch staging: a 3-segment request that
+    /// lands on one shard costs one lock acquisition instead of three.
+    /// Keys are applied grouped by shard in ascending shard order (input
+    /// order *within* each shard group), so `f` must not depend on
+    /// cross-key application order — per-key mutations in HFetch don't
+    /// (each segment's update is self-contained).
     ///
     /// [`update_with`]: DistributedMap::update_with
     pub fn update_many_with<R>(
         &self,
         keys: &[K],
-        default: impl FnMut() -> V,
-        mut f: impl FnMut(usize, &mut V) -> R,
-    ) -> Vec<R> {
-        match keys {
-            [] => Vec::new(),
-            [key] => {
-                // Single-key fast path: no grouping scratch.
-                vec![self.update_with(key.clone(), default, |v| f(0, v))]
-            }
-            _ => {
-                let order = self.route(keys);
-                self.update_ordered_with(&order, keys, default, f)
-            }
-        }
-    }
-
-    /// Builds the shard-grouped visit order for `keys`: `(flat shard,
-    /// input index)` pairs sorted by shard, input order preserved within
-    /// each shard's run. Callers that batch several structures by the
-    /// same topology (the auditor batches map writes *and* queue pushes
-    /// per shard) compute this once and reuse it.
-    pub fn route(&self, keys: &[K]) -> Vec<(usize, usize)> {
-        let mut order: Vec<(usize, usize)> =
-            keys.iter().enumerate().map(|(i, k)| (self.locate(k).flat, i)).collect();
-        order.sort_by_key(|&(flat, _)| flat);
-        order
-    }
-
-    /// [`update_many_with`] with the grouping precomputed by [`route`]:
-    /// `order` must be exactly `self.route(keys)` (checked in debug
-    /// builds). Visits each shard run under one write-lock acquisition.
-    ///
-    /// [`update_many_with`]: DistributedMap::update_many_with
-    /// [`route`]: DistributedMap::route
-    pub fn update_ordered_with<R>(
-        &self,
-        order: &[(usize, usize)],
-        keys: &[K],
         mut default: impl FnMut() -> V,
         mut f: impl FnMut(usize, &mut V) -> R,
     ) -> Vec<R> {
-        debug_assert_eq!(order.len(), keys.len());
-        debug_assert!(order.windows(2).all(|w| w[0].0 <= w[1].0), "order not shard-sorted");
+        if let [key] = keys {
+            // Single-key fast path: no grouping scratch.
+            return vec![self.update_with(key.clone(), default, |v| f(0, v))];
+        }
+        // `(flat shard, input index)`, sorted by shard with input order
+        // kept within each shard's run (stable sort).
+        let mut order: Vec<(usize, usize)> =
+            keys.iter().enumerate().map(|(i, k)| (self.locate(k).flat, i)).collect();
+        order.sort_by_key(|&(flat, _)| flat);
         let mut out: Vec<Option<R>> = Vec::with_capacity(keys.len());
         out.resize_with(keys.len(), || None);
-        let mut i = 0;
-        while i < order.len() {
-            let flat = order[i].0;
-            debug_assert_eq!(flat, self.locate(&keys[order[i].1]).flat, "order/keys mismatch");
+        for run in order.chunk_by(|a, b| a.0 == b.0) {
             self.inner.stats.record_locks(1);
-            let mut entries = self.inner.shards[flat].entries.write();
-            while i < order.len() && order[i].0 == flat {
-                let idx = order[i].1;
-                out[idx] =
-                    Some(self.apply_entry(&mut entries, keys[idx].clone(), &mut default, |v| {
-                        f(idx, v)
-                    }));
-                i += 1;
+            let mut entries = self.inner.shards[run[0].0].entries.write();
+            for &(_, idx) in run {
+                out[idx] = Some(self.apply_entry(&mut entries, keys[idx].clone(), &mut default, |v| {
+                    f(idx, v)
+                }));
             }
         }
         out.into_iter().map(|r| r.expect("every key visited")).collect()
@@ -362,13 +326,6 @@ where
             loads[i / self.inner.shards_per_node] += shard.entries.read().len();
         }
         loads
-    }
-
-    /// Total shard count (`nodes * shards_per_node`). The auditor aligns
-    /// its update-queue stripe count with this so queue stripes and map
-    /// shards contend on the same topology.
-    pub fn shard_count(&self) -> usize {
-        self.inner.shards.len()
     }
 
     /// Number of virtual nodes.

@@ -14,10 +14,9 @@
 //! * [`engine`] — the Hierarchical Data Placement Engine (Algorithm 1):
 //!   maps the score spectrum onto the tier stack with per-tier watermarks,
 //!   capacity-aware demotion cascades, and an exclusive placement model.
-//! * [`update_queue`] — striped, coalescing score-update queues: the
-//!   pending-update vector sharded along the DHT's topology so ingestion
-//!   never funnels through one global lock, with a deterministic
-//!   first-touch merge on drain.
+//! * [`update_queue`] — the coalescing score-update vector the auditor
+//!   pushes into and the engine drains: latest score per segment, in
+//!   first-touch order.
 //! * [`policy`] — the simulator adapter: wires auditor + engine into
 //!   [`sim::PrefetchPolicy`] so HFetch runs inside the evaluation harness
 //!   against the baselines.
@@ -45,8 +44,8 @@ pub mod server;
 pub mod update_queue;
 
 pub use agent::HFetchAgent;
-pub use auditor::{Auditor, IngestLockStats, IngestTuning, ScoreUpdate};
-pub use update_queue::StripedUpdateQueue;
+pub use auditor::{Auditor, IngestLockStats, ScoreUpdate};
+pub use update_queue::UpdateQueue;
 pub use config::{HFetchConfig, Reactiveness};
 pub use engine::{PlacementAction, PlacementEngine};
 pub use heatmap::{FileHeatmap, HeatmapStore};

@@ -246,6 +246,12 @@ impl ServerInner {
         let dst = &self.backends[to.index()];
         let newly = range.len - dst.covered_bytes(file, range);
         if newly == 0 {
+            // Already at the destination: a move's source copy is now
+            // redundant, so drop it to keep residency exclusive.
+            if let Some(from) = released_from {
+                let _ = self.backends[from.index()].evict(file, range);
+            }
+            self.restore_source(file, range, released_from);
             return;
         }
         // A promotion often races the demotion that frees its space
@@ -262,9 +268,13 @@ impl ServerInner {
             }
         }
         if !reserved {
-            #[cfg(feature = "debug-io")]
-            eprintln!("DENIED fetch {file:?} {range:?} -> {to:?} (avail {})", self.ledger.available(to));
             self.stats.denied_fetches.fetch_add(1, Ordering::Relaxed);
+            // The placement will never happen: reconcile the engine's
+            // model with reality, as the simulator's pump does, or the
+            // engine would believe `to` holds a segment it does not.
+            let segment = SegmentId::new(file, range.offset / self.cfg.segment_size);
+            self.engine.lock().remove_segment(segment);
+            self.restore_source(file, range, released_from);
             return;
         }
         // Find the fastest current holder.
@@ -336,11 +346,18 @@ impl ServerInner {
                 // return the whole range's accounting to the pool.
                 let _ = self.backends[to.index()].evict(file, range);
                 self.ledger.release_clamped(to, range.len);
-                if let Some(from) = released_from {
-                    let still = self.backends[from.index()].covered_bytes(file, range);
-                    let _ = self.ledger.reserve(from, still);
-                }
+                self.restore_source(file, range, released_from);
             }
+        }
+    }
+
+    /// Rolls back a move that did not complete: dispatch released the
+    /// source's capacity up front, so whatever the source still holds of
+    /// `range` is accounted to it again. No-op for plain fetches.
+    fn restore_source(&self, file: FileId, range: ByteRange, released_from: Option<TierId>) {
+        if let Some(from) = released_from {
+            let still = self.backends[from.index()].covered_bytes(file, range);
+            let _ = self.ledger.reserve(from, still);
         }
     }
 
@@ -805,6 +822,59 @@ mod tests {
         server.quiesce();
         assert_eq!(server.inner().backend(TierId(0)).resident_bytes(h2.file()), mib(1));
         shim.fclose(&h2);
+        server.shutdown();
+    }
+
+    /// Dispatches a `Move` of a 1 MiB segment that sits on NVMe (tier 1,
+    /// accounted in the ledger) up to RAM (tier 0), after `prepare` has
+    /// shaped the destination, and waits for the I/O client to finish.
+    fn dispatch_nvme_to_ram_move(prepare: impl FnOnce(&ServerInner, FileId)) -> HFetchServer {
+        let server = HFetchServer::in_memory(HFetchConfig::default(), small_hierarchy());
+        let inner = server.inner();
+        let file = FileId(77);
+        inner.auditor.set_file_size(file, MIB);
+        inner.backend(TierId(1)).write(file, 0, &vec![7u8; MIB as usize]).unwrap();
+        inner.ledger.reserve(TierId(1), MIB).unwrap();
+        prepare(inner, file);
+        inner.dispatch_actions(vec![PlacementAction::Move {
+            segment: SegmentId::new(file, 0),
+            from: TierId(1),
+            to: TierId(0),
+        }]);
+        server.quiesce();
+        server
+    }
+
+    #[test]
+    fn denied_move_keeps_source_accounted() {
+        // RAM is full, so the promotion is denied and the bytes never
+        // leave NVMe: the ledger must account them to NVMe again.
+        let server = dispatch_nvme_to_ram_move(|inner, _| {
+            let free = inner.ledger.available(TierId(0));
+            inner.ledger.reserve(TierId(0), free).unwrap();
+        });
+        let inner = server.inner();
+        let file = FileId(77);
+        assert_eq!(server.stats().denied_fetches.load(Ordering::Relaxed), 1);
+        assert_eq!(server.stats().failed_fetches.load(Ordering::Relaxed), 0, "a denial is not a failure");
+        assert_eq!(inner.backend(TierId(1)).resident_bytes(file), MIB, "bytes stay on the source");
+        assert_eq!(inner.ledger.used(TierId(1)), inner.backend(TierId(1)).resident_bytes(file));
+        server.shutdown();
+    }
+
+    #[test]
+    fn move_already_at_destination_drops_the_source_copy() {
+        // The segment already landed in RAM: the move copies nothing, and
+        // the redundant NVMe copy goes so residency stays exclusive.
+        let server = dispatch_nvme_to_ram_move(|inner, file| {
+            inner.backend(TierId(0)).write(file, 0, &vec![7u8; MIB as usize]).unwrap();
+            inner.ledger.reserve(TierId(0), MIB).unwrap();
+        });
+        let inner = server.inner();
+        let file = FileId(77);
+        assert_eq!(inner.backend(TierId(1)).resident_bytes(file), 0, "source copy dropped");
+        assert_eq!(inner.ledger.used(TierId(1)), inner.backend(TierId(1)).resident_bytes(file));
+        assert_eq!(inner.ledger.used(TierId(0)), inner.backend(TierId(0)).resident_bytes(file));
         server.shutdown();
     }
 

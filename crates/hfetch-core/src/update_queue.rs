@@ -1,29 +1,20 @@
-//! Striped, coalescing score-update queues.
+//! The coalescing score-update queue.
 //!
-//! The auditor's update vector is the one piece of state every monitor
-//! daemon writes on every event, so a single `Mutex<Vec<_>>` serialises
-//! the whole ingestion path even though the segment *statistics* are
-//! already sharded. [`StripedUpdateQueue`] stripes the queue the same way
-//! the DHT stripes the statistics — the auditor routes each segment's
-//! updates to the stripe matching its map shard — so two daemons
-//! ingesting different segments take different queue locks exactly when
-//! they take different map locks.
+//! "All updated scores are pushed by the auditor into a vector which the
+//! engine processes" (§III-D). [`UpdateQueue`] is that vector: one mutex
+//! over a slot `Vec` plus a segment → slot index. A repeated update for a
+//! pending segment overwrites its slot in place, so a drain returns the
+//! latest score per segment in first-touch (insertion) order.
 //!
-//! Determinism: every *new* segment slot is stamped with a globally
-//! monotonic sequence number, and [`drain`] merges the stripes by sorting
-//! slots on that stamp. A single-threaded producer therefore drains in
-//! first-touch order, byte-identical to the old global queue; concurrent
-//! producers drain in the (deterministic, per-interleaving) order their
-//! first touches were stamped.
+//! A multi-segment read or an epoch's staging pushes its updates as one
+//! batch under one lock acquisition, in request order, so the queue costs
+//! one lock per ingested event regardless of how many segments it touches.
 //!
 //! Accounting: `pending()` counts **raw pushes** — the engine's
 //! count-based trigger (Reactiveness, §III-D) fires on access volume, not
-//! on coalesced slot count. Drains and purges subtract exactly the raw
-//! pushes their removed slots absorbed, so the counter can never drift
-//! from queue contents the way the old `store(0)` reset could when a push
-//! landed between the drain and the reset.
-//!
-//! [`drain`]: StripedUpdateQueue::drain
+//! on coalesced slot count. Pushes, drains and purges adjust the counter
+//! under the queue lock by exactly the raw pushes they add or remove, so
+//! it never drifts from queue contents under concurrent push and drain.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -33,175 +24,73 @@ use tiers::ids::{FileId, SegmentId};
 
 use crate::auditor::ScoreUpdate;
 
-/// One coalesced slot: the latest update for a segment plus bookkeeping.
+/// One coalesced slot: the latest update for a segment plus the raw
+/// pushes it absorbed.
 struct Slot {
-    /// Globally monotonic first-touch stamp; never reset, so merged
-    /// drains have a total order.
-    seq: u64,
-    /// Raw pushes coalesced into this slot since it was created.
     raw: u64,
-    /// The latest update for the segment.
     update: ScoreUpdate,
 }
 
-/// One stripe: a slot vector plus a segment → slot index.
+/// Slots in first-touch order plus a segment → slot index.
 #[derive(Default)]
-struct Stripe {
+struct Slots {
     slots: Vec<Slot>,
     index: FxHashMap<SegmentId, usize>,
 }
 
-/// Pending score updates, coalesced to the latest value per segment and
-/// striped across independently locked queues.
-pub struct StripedUpdateQueue {
-    stripes: Vec<Mutex<Stripe>>,
-    /// First-touch stamp source (never reset; see module docs).
-    seq: AtomicU64,
-    /// Raw pushes currently represented in the queue.
+/// Pending score updates, coalesced to the latest value per segment.
+#[derive(Default)]
+pub struct UpdateQueue {
+    slots: Mutex<Slots>,
+    /// Raw pushes currently represented in the queue (read lock-free by
+    /// the engine trigger; written only under `slots`).
     pending: AtomicU64,
-    /// Stripe lock acquisitions (ingestion telemetry).
+    /// Queue lock acquisitions (ingestion telemetry).
     locks: AtomicU64,
 }
 
-impl StripedUpdateQueue {
-    /// Creates a queue with `stripes` independently locked stripes.
-    pub fn new(stripes: usize) -> Self {
-        assert!(stripes > 0, "need at least one stripe");
-        Self {
-            stripes: (0..stripes).map(|_| Mutex::new(Stripe::default())).collect(),
-            seq: AtomicU64::new(0),
-            pending: AtomicU64::new(0),
-            locks: AtomicU64::new(0),
+impl UpdateQueue {
+    /// Creates an empty queue.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Pushes `updates` in order under one lock acquisition, coalescing
+    /// each into its segment's pending slot. The drain is identical to
+    /// pushing them one at a time; an empty batch takes no lock.
+    pub fn push(&self, updates: &[ScoreUpdate]) {
+        if updates.is_empty() {
+            return;
         }
-    }
-
-    /// Number of stripes.
-    pub fn stripes(&self) -> usize {
-        self.stripes.len()
-    }
-
-    /// Pushes `update` onto stripe `stripe` (caller routes; the auditor
-    /// uses the segment's DHT shard so queue and map contention align).
-    /// Coalesces into the segment's existing slot if one is pending.
-    pub fn push(&self, stripe: usize, update: ScoreUpdate) {
         self.locks.fetch_add(1, Ordering::Relaxed);
-        let mut s = self.stripes[stripe % self.stripes.len()].lock();
-        let stripe_state = &mut *s;
-        match stripe_state.index.entry(update.segment) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                let slot = &mut stripe_state.slots[*e.get()];
-                slot.update = update;
-                slot.raw += 1;
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-                e.insert(stripe_state.slots.len());
-                stripe_state.slots.push(Slot { seq, raw: 1, update });
-            }
-        }
-        self.pending.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Pushes a batch of routed updates, taking each stripe's lock once
-    /// per *group* instead of once per update. `items` is `(stripe,
-    /// update)` in request order; a block of sequence stamps is reserved
-    /// up front and new slots are stamped by their position in the batch,
-    /// so the drain order is byte-identical to pushing the same items
-    /// one at a time — grouping changes lock traffic, never results.
-    pub fn push_many(&self, items: &[(usize, ScoreUpdate)]) {
-        match items {
-            [] => {}
-            [(stripe, update)] => self.push(*stripe, *update),
-            _ => {
-                let mut order: Vec<(usize, usize)> = items
-                    .iter()
-                    .enumerate()
-                    .map(|(i, (stripe, _))| (stripe % self.stripes.len(), i))
-                    .collect();
-                order.sort_unstable();
-                self.push_grouped(&order, |i| items[i].1);
-            }
-        }
-    }
-
-    /// Pushes a batch whose routing was already computed by the map:
-    /// `order` is `(flat shard, index)` sorted by shard (the exact value
-    /// `DistributedMap::route` returns), and `make(index)` produces the
-    /// update for that position. When the queue's stripe count matches
-    /// the map's shard count — the default — the shard grouping *is* the
-    /// stripe grouping, so the batch reuses it with no extra routing
-    /// pass or sort; mismatched stripe counts fall back to regrouping.
-    pub fn push_ordered(&self, order: &[(usize, usize)], mut make: impl FnMut(usize) -> ScoreUpdate) {
-        let n = self.stripes.len();
-        match order {
-            [] => {}
-            [(stripe, idx)] => self.push(*stripe, make(*idx)),
-            _ if order[order.len() - 1].0 < n => self.push_grouped(order, make),
-            _ if n == 1 => {
-                let regrouped: Vec<(usize, usize)> =
-                    order.iter().map(|&(_, idx)| (0, idx)).collect();
-                self.push_grouped(&regrouped, make)
-            }
-            _ => {
-                let mut regrouped: Vec<(usize, usize)> =
-                    order.iter().map(|&(flat, idx)| (flat % n, idx)).collect();
-                regrouped.sort_unstable();
-                self.push_grouped(&regrouped, make)
-            }
-        }
-    }
-
-    /// Core grouped push: `order` is `(stripe, index)` sorted by stripe
-    /// with every stripe already in `0..self.stripes.len()`. Reserves a
-    /// block of sequence stamps and stamps new slots by their *index*, so
-    /// drains order the batch exactly as request order regardless of the
-    /// stripe grouping.
-    fn push_grouped(&self, order: &[(usize, usize)], mut make: impl FnMut(usize) -> ScoreUpdate) {
-        let base = self.seq.fetch_add(order.len() as u64, Ordering::Relaxed);
-        let mut i = 0;
-        while i < order.len() {
-            let stripe = order[i].0;
-            self.locks.fetch_add(1, Ordering::Relaxed);
-            let mut s = self.stripes[stripe].lock();
-            let stripe_state = &mut *s;
-            while i < order.len() && order[i].0 == stripe {
-                let idx = order[i].1;
-                let update = make(idx);
-                match stripe_state.index.entry(update.segment) {
-                    std::collections::hash_map::Entry::Occupied(e) => {
-                        let slot = &mut stripe_state.slots[*e.get()];
-                        slot.update = update;
-                        slot.raw += 1;
-                    }
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(stripe_state.slots.len());
-                        stripe_state.slots.push(Slot { seq: base + idx as u64, raw: 1, update });
-                    }
+        let mut guard = self.slots.lock();
+        let q = &mut *guard;
+        for &update in updates {
+            match q.index.entry(update.segment) {
+                std::collections::hash_map::Entry::Occupied(e) => {
+                    let slot = &mut q.slots[*e.get()];
+                    slot.update = update;
+                    slot.raw += 1;
                 }
-                i += 1;
+                std::collections::hash_map::Entry::Vacant(e) => {
+                    e.insert(q.slots.len());
+                    q.slots.push(Slot { raw: 1, update });
+                }
             }
         }
-        self.pending.fetch_add(order.len() as u64, Ordering::Relaxed);
+        self.pending.fetch_add(updates.len() as u64, Ordering::Relaxed);
     }
 
-    /// Drains every stripe and merges the slots into first-touch order
-    /// (ascending sequence stamp). The pending counter is decremented by
-    /// exactly the raw pushes the drained slots absorbed — pushes that
-    /// land on a stripe after it was emptied stay counted.
+    /// Takes every pending update in first-touch order and subtracts the
+    /// raw pushes they absorbed from the pending counter.
     pub fn drain(&self) -> Vec<ScoreUpdate> {
-        let mut slots: Vec<Slot> = Vec::new();
-        let mut raw = 0u64;
-        self.locks.fetch_add(self.stripes.len() as u64, Ordering::Relaxed);
-        for stripe in &self.stripes {
-            let mut s = stripe.lock();
-            s.index.clear();
-            slots.append(&mut s.slots);
-        }
-        for slot in &slots {
-            raw += slot.raw;
-        }
+        self.locks.fetch_add(1, Ordering::Relaxed);
+        let mut q = self.slots.lock();
+        q.index.clear();
+        let slots = std::mem::take(&mut q.slots);
+        let raw: u64 = slots.iter().map(|slot| slot.raw).sum();
         self.pending.fetch_sub(raw, Ordering::Relaxed);
-        slots.sort_unstable_by_key(|slot| slot.seq);
+        drop(q);
         slots.into_iter().map(|slot| slot.update).collect()
     }
 
@@ -215,33 +104,27 @@ impl StripedUpdateQueue {
     /// were dropped. Called when the auditor forgets a file so the engine
     /// never sees scores for state that no longer exists.
     pub fn purge_file(&self, file: FileId) -> usize {
-        let mut dropped_slots = 0;
+        self.locks.fetch_add(1, Ordering::Relaxed);
+        let mut guard = self.slots.lock();
+        let q = &mut *guard;
+        let before = q.slots.len();
         let mut dropped_raw = 0u64;
-        self.locks.fetch_add(self.stripes.len() as u64, Ordering::Relaxed);
-        for stripe in &self.stripes {
-            let mut s = stripe.lock();
-            if !s.slots.iter().any(|slot| slot.update.segment.file == file) {
-                continue;
+        q.slots.retain(|slot| {
+            let keep = slot.update.segment.file != file;
+            if !keep {
+                dropped_raw += slot.raw;
             }
-            s.slots.retain(|slot| {
-                if slot.update.segment.file == file {
-                    dropped_slots += 1;
-                    dropped_raw += slot.raw;
-                    false
-                } else {
-                    true
-                }
-            });
-            s.index.clear();
-            let rebuilt: FxHashMap<SegmentId, usize> =
-                s.slots.iter().enumerate().map(|(i, slot)| (slot.update.segment, i)).collect();
-            s.index = rebuilt;
+            keep
+        });
+        let dropped = before - q.slots.len();
+        if dropped > 0 {
+            q.index = q.slots.iter().enumerate().map(|(i, slot)| (slot.update.segment, i)).collect();
+            self.pending.fetch_sub(dropped_raw, Ordering::Relaxed);
         }
-        self.pending.fetch_sub(dropped_raw, Ordering::Relaxed);
-        dropped_slots
+        dropped
     }
 
-    /// Stripe lock acquisitions so far (ingestion telemetry; relaxed).
+    /// Queue lock acquisitions so far (ingestion telemetry; relaxed).
     pub fn lock_acquisitions(&self) -> u64 {
         self.locks.load(Ordering::Relaxed)
     }
@@ -262,11 +145,10 @@ mod tests {
 
     #[test]
     fn coalesces_to_latest_in_first_touch_order() {
-        let q = StripedUpdateQueue::new(4);
-        // Route everything to one stripe to pin intra-stripe behaviour.
-        q.push(0, upd(1, 0, 1.0));
-        q.push(0, upd(1, 1, 1.0));
-        q.push(0, upd(1, 0, 5.0));
+        let q = UpdateQueue::new();
+        q.push(&[upd(1, 0, 1.0)]);
+        q.push(&[upd(1, 1, 1.0)]);
+        q.push(&[upd(1, 0, 5.0)]);
         assert_eq!(q.pending(), 3, "pending counts raw pushes");
         let drained = q.drain();
         assert_eq!(drained.len(), 2);
@@ -278,64 +160,21 @@ mod tests {
     }
 
     #[test]
-    fn merge_across_stripes_is_seq_ordered() {
-        let q = StripedUpdateQueue::new(8);
-        // First touches interleave across stripes; drain must restore the
-        // global stamp order, not stripe-by-stripe order.
-        q.push(7, upd(1, 70, 1.0));
-        q.push(0, upd(1, 0, 1.0));
-        q.push(3, upd(1, 30, 1.0));
-        q.push(7, upd(1, 70, 2.0)); // coalesce keeps stamp 0
-        let drained = q.drain();
-        let order: Vec<u64> = drained.iter().map(|u| u.segment.index).collect();
-        assert_eq!(order, vec![70, 0, 30]);
-        assert_eq!(drained[0].score, 2.0);
-    }
-
-    #[test]
-    fn push_many_drains_identically_to_single_pushes() {
-        // Same routed items, once via push(), once via push_many(): the
-        // drains must match byte-for-byte (order and values), and the
-        // grouped push must take at most as many stripe locks.
-        let items: Vec<(usize, ScoreUpdate)> = (0..40)
-            .map(|i| ((i * 7 % 5) as usize, upd(1 + i % 2, i % 13, i as f64)))
-            .collect();
-        let one = StripedUpdateQueue::new(5);
-        for (stripe, u) in &items {
-            one.push(*stripe, *u);
-        }
-        let many = StripedUpdateQueue::new(5);
-        many.push_many(&items);
-        assert_eq!(many.pending(), one.pending());
-        let grouped_locks = many.lock_acquisitions();
-        assert!(grouped_locks < one.lock_acquisitions(), "grouping must save stripe locks");
-        let (a, b) = (one.drain(), many.drain());
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.segment, y.segment, "first-touch order must match");
-            assert_eq!(x.score.to_bits(), y.score.to_bits());
-        }
-        many.push_many(&[]);
-        assert_eq!(many.pending(), 0, "empty batch is a no-op");
-    }
-
-    #[test]
     fn pending_is_exact_under_concurrent_push_and_drain() {
-        let q = std::sync::Arc::new(StripedUpdateQueue::new(4));
+        let q = std::sync::Arc::new(UpdateQueue::new());
         std::thread::scope(|s| {
             for t in 0..4u64 {
                 let q = q.clone();
                 s.spawn(move || {
                     for i in 0..2000 {
-                        q.push((t + i) as usize, upd(t, i % 64, i as f64));
+                        q.push(&[upd(t, i % 64, i as f64)]);
                     }
                 });
             }
             let q = q.clone();
             s.spawn(move || {
-                // Racing drains: with the old `store(0)` reset, a push's
-                // count increment landing between the drain and the reset
-                // left the counter permanently out of sync with contents.
+                // Racing drains: a counter reset instead of an exact
+                // subtraction would drift from the queue contents.
                 for _ in 0..200 {
                     q.drain();
                     std::thread::yield_now();
@@ -350,11 +189,11 @@ mod tests {
 
     #[test]
     fn purge_file_drops_only_that_file() {
-        let q = StripedUpdateQueue::new(4);
-        q.push(0, upd(1, 0, 1.0));
-        q.push(1, upd(2, 0, 1.0));
-        q.push(2, upd(1, 1, 1.0));
-        q.push(2, upd(1, 1, 2.0));
+        let q = UpdateQueue::new();
+        q.push(&[upd(1, 0, 1.0)]);
+        q.push(&[upd(2, 0, 1.0)]);
+        q.push(&[upd(1, 1, 1.0)]);
+        q.push(&[upd(1, 1, 2.0)]);
         assert_eq!(q.pending(), 4);
         assert_eq!(q.purge_file(FileId(1)), 2);
         assert_eq!(q.pending(), 1, "purge subtracts the raw pushes it removed");
@@ -366,27 +205,31 @@ mod tests {
 
     #[test]
     fn purge_then_push_same_segment_lands_in_a_fresh_slot() {
-        let q = StripedUpdateQueue::new(2);
-        q.push(0, upd(1, 5, 1.0));
-        q.push(0, upd(2, 9, 1.0));
+        let q = UpdateQueue::new();
+        q.push(&[upd(1, 5, 1.0)]);
+        q.push(&[upd(2, 9, 1.0)]);
         q.purge_file(FileId(1));
         // Index was rebuilt: a new push for the purged segment must not
         // alias the surviving file-2 slot.
-        q.push(0, upd(1, 5, 7.0));
-        let mut drained = q.drain();
-        drained.sort_by_key(|u| u.segment.file.0);
+        q.push(&[upd(1, 5, 7.0)]);
+        let drained = q.drain();
         assert_eq!(drained.len(), 2);
-        assert_eq!(drained[0].score, 7.0);
-        assert_eq!(drained[1].segment.file, FileId(2));
+        assert_eq!(drained[0].segment.file, FileId(2), "survivor keeps its position");
+        assert_eq!(drained[1].segment, SegmentId::new(FileId(1), 5));
+        assert_eq!(drained[1].score, 7.0);
     }
 
     #[test]
-    fn lock_telemetry_counts_stripe_visits() {
-        let q = StripedUpdateQueue::new(4);
-        q.push(0, upd(1, 0, 1.0));
-        q.push(1, upd(1, 1, 1.0));
-        assert_eq!(q.lock_acquisitions(), 2);
+    fn lock_telemetry_counts_one_per_operation() {
+        let q = UpdateQueue::new();
+        q.push(&[upd(1, 0, 1.0)]);
+        q.push(&[upd(1, 1, 1.0), upd(1, 2, 1.0), upd(1, 0, 2.0)]);
+        assert_eq!(q.lock_acquisitions(), 2, "a batch takes one lock");
+        q.push(&[]);
+        assert_eq!(q.lock_acquisitions(), 2, "an empty batch takes no lock");
+        assert_eq!(q.pending(), 4);
         q.drain();
-        assert_eq!(q.lock_acquisitions(), 2 + 4, "drain visits every stripe");
+        q.purge_file(FileId(1));
+        assert_eq!(q.lock_acquisitions(), 4, "drain and purge take one lock each");
     }
 }

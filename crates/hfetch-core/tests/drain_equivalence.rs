@@ -1,22 +1,22 @@
-//! Drain-equivalence properties of the striped ingestion path.
+//! Drain-equivalence properties of the ingestion path.
 //!
-//! The striped update queue and the batched map writes are pure
-//! performance refactors: they must never change *what* the placement
-//! engine sees, only how cheaply it gets there. These tests pin that
-//! contract from outside the crate:
+//! The update queue coalesces and batches pushes; neither may change
+//! *what* the placement engine sees. These tests pin that contract from
+//! outside the crate:
 //!
-//! * single-threaded, any stripe count drains byte-identically to the
-//!   one-stripe (old global queue) layout, in first-touch order;
+//! * a serial push stream drains bit-identically to the first-touch /
+//!   latest-score model, whether pushed one at a time or in batches;
+//! * interleaved drains partition the stream without loss or duplication;
 //! * concurrent producers coalesce to the latest score per segment, with
 //!   a raw-push counter that stays exact;
-//! * at the auditor level, striped-vs-global and batched-vs-per-key
-//!   ablations produce identical drains for identical access sequences.
+//! * at the auditor level, the same seeded workload driven by 1, 2 or 4
+//!   producer threads drains the same canonicalised batch.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use hfetch_core::auditor::{Auditor, IngestTuning, ScoreUpdate};
-use hfetch_core::{HFetchConfig, HeatmapStore, StripedUpdateQueue};
+use hfetch_core::auditor::{Auditor, ScoreUpdate};
+use hfetch_core::{HFetchConfig, UpdateQueue};
 use proptest::prelude::*;
 use tiers::ids::{FileId, ProcessId, SegmentId};
 use tiers::range::ByteRange;
@@ -53,26 +53,29 @@ fn assert_byte_identical(a: &[ScoreUpdate], b: &[ScoreUpdate]) {
 }
 
 proptest! {
-    /// Single-threaded pushes drain identically — same order, same bit
-    /// patterns — whether the queue has 1, 3 or 32 stripes, and both
-    /// match the first-touch/latest-score model.
+    /// Single-threaded pushes drain to the first-touch/latest-score model
+    /// — same order, same bit patterns — whether pushed one at a time or
+    /// in batches of any size.
     #[test]
-    fn prop_stripe_count_never_changes_a_serial_drain(
+    fn prop_serial_drain_matches_the_model(
         pushes in proptest::collection::vec(
             (0u64..3, 0u64..24, 0.0f64..100.0), 0..200),
+        batch in 1usize..50,
     ) {
         let expected = model_drain(&pushes);
-        for stripes in [1usize, 3, 32] {
-            let q = StripedUpdateQueue::new(stripes);
-            for &(file, index, score) in &pushes {
-                // Route the way the auditor does: by a per-segment value,
-                // here the segment index (stable across stripe counts
-                // after the modulo inside push).
-                q.push(index as usize, upd(file, index, score));
-            }
+        let updates: Vec<ScoreUpdate> =
+            pushes.iter().map(|&(file, index, score)| upd(file, index, score)).collect();
+        let single = UpdateQueue::new();
+        for u in &updates {
+            single.push(&[*u]);
+        }
+        let batched = UpdateQueue::new();
+        for chunk in updates.chunks(batch) {
+            batched.push(chunk);
+        }
+        for q in [&single, &batched] {
             prop_assert_eq!(q.pending(), pushes.len() as u64);
-            let drained = q.drain();
-            assert_byte_identical(&drained, &expected);
+            assert_byte_identical(&q.drain(), &expected);
             prop_assert_eq!(q.pending(), 0u64);
         }
     }
@@ -87,10 +90,10 @@ proptest! {
             (0u64..3, 0u64..16, 0.0f64..100.0), 1..120),
         cadence in 1usize..40,
     ) {
-        let q = StripedUpdateQueue::new(4);
+        let q = UpdateQueue::new();
         let mut batches: Vec<Vec<ScoreUpdate>> = Vec::new();
         for (i, &(file, index, score)) in pushes.iter().enumerate() {
-            q.push(index as usize, upd(file, index, score));
+            q.push(&[upd(file, index, score)]);
             if (i + 1) % cadence == 0 {
                 batches.push(q.drain());
             }
@@ -120,7 +123,7 @@ proptest! {
     }
 }
 
-/// N producers over disjoint files: the merged drain coalesces to each
+/// N producers over disjoint files: the drain coalesces to each
 /// segment's latest score (scores increase monotonically per thread, so
 /// "latest" is checkable), and the raw-push counter drains to exactly 0.
 #[test]
@@ -128,14 +131,14 @@ fn concurrent_producers_coalesce_to_latest_per_segment() {
     const THREADS: u64 = 4;
     const ROUNDS: u64 = 500;
     const SEGMENTS: u64 = 8;
-    let q = Arc::new(StripedUpdateQueue::new(8));
+    let q = Arc::new(UpdateQueue::new());
     std::thread::scope(|s| {
         for t in 0..THREADS {
             let q = Arc::clone(&q);
             s.spawn(move || {
                 for r in 0..ROUNDS {
                     for i in 0..SEGMENTS {
-                        q.push((t * SEGMENTS + i) as usize, upd(t, i, (r + 1) as f64));
+                        q.push(&[upd(t, i, (r + 1) as f64)]);
                     }
                 }
             });
@@ -150,55 +153,83 @@ fn concurrent_producers_coalesce_to_latest_per_segment() {
     assert_eq!(q.pending(), 0);
 }
 
-/// Drives one auditor configuration with a fixed read script and returns
-/// the full drain.
-fn drive(tuning: IngestTuning) -> Vec<ScoreUpdate> {
-    let auditor =
-        Auditor::with_tuning(HFetchConfig::default(), Arc::new(HeatmapStore::in_memory()), tuning);
-    let file = FileId(7);
-    auditor.set_file_size(file, 64 * MIB);
-    auditor.start_epoch(file, Timestamp::ZERO);
-    // Mixed widths and revisits: wide reads exercise the batched path's
-    // shard grouping, revisits exercise coalescing, two processes
-    // exercise the sequencing predecessors.
-    let script: [(u64, u64, u32); 6] = [
-        (0, 48, 0),  // wide: 48 segments, guaranteed shard collisions
-        (4, 2, 1),
-        (6, 2, 1),
-        (0, 8, 0),   // revisit
-        (32, 16, 1),
-        (60, 4, 0),
-    ];
-    for (i, (offset, len, proc)) in script.iter().enumerate() {
-        auditor.observe_read(
-            file,
-            ByteRange::new(offset * MIB, len * MIB),
-            ProcessId(*proc),
-            Timestamp::from_millis((i as u64 + 1) * 250),
-        );
-    }
-    auditor.drain_updates()
+/// Streams (= files) in every auditor run, fixed regardless of thread
+/// count so the total workload is comparable across thread counts.
+const STREAMS: u64 = 4;
+/// Reads per stream.
+const READS: u64 = 2_000;
+/// File size and request size.
+const DATASET: u64 = 64 * MIB;
+const REQUEST: u64 = 4 * MIB;
+
+/// One stream's reads: four Fig. 5-style processes (bulk-sequential scans
+/// of up to 48 MiB, strided, repetitive, irregular) interleaved
+/// round-robin as processes `4 * stream .. 4 * stream + 4`. Streams use
+/// disjoint process IDs because the auditor's per-process sequencing
+/// state is global. Deterministic in `stream`; time advances 1 ms a read.
+fn stream_reads(stream: u64) -> Vec<(ByteRange, ProcessId, Timestamp)> {
+    let chunks = DATASET / REQUEST;
+    let wide = (48 * MIB / REQUEST).min(chunks);
+    let mut rng = 0x5EED + stream;
+    let mut next = move || {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        rng
+    };
+    (0..READS)
+        .map(|i| {
+            let round = i / 4;
+            let (chunk, len) = match i % 4 {
+                0 => ((round * wide) % (chunks - wide + 1), wide),
+                1 => ((round * 4) % chunks, 1),
+                2 => ((round * 7 + 3) % (chunks / 4), 1),
+                _ => (next() % chunks, 1),
+            };
+            let process = ProcessId((stream * 4 + i % 4) as u32);
+            (ByteRange::new(chunk * REQUEST, len * REQUEST), process, Timestamp::from_millis(i))
+        })
+        .collect()
 }
 
-/// The four striping × batching ablations are pure perf knobs: identical
-/// access scripts must drain byte-identically, first-touch order and all.
+/// Runs the [`STREAMS`] streams round-robin over `threads` producers into
+/// one auditor and returns the final drain sorted by segment. A thread
+/// processes its streams in order and files are disjoint, so each
+/// segment's score history is independent of the interleaving.
+fn canonical_drain(threads: usize) -> Vec<ScoreUpdate> {
+    let auditor = Auditor::new(HFetchConfig::default());
+    let streams: Vec<(FileId, Vec<_>)> =
+        (0..STREAMS).map(|j| (FileId(j + 1), stream_reads(j))).collect();
+    for (file, _) in &streams {
+        auditor.set_file_size(*file, DATASET);
+        auditor.start_epoch(*file, Timestamp::ZERO);
+    }
+    std::thread::scope(|s| {
+        for t in 0..threads {
+            let (auditor, streams) = (&auditor, &streams);
+            s.spawn(move || {
+                for (file, reads) in streams.iter().skip(t).step_by(threads) {
+                    for &(range, process, at) in reads {
+                        auditor.observe_read(*file, range, process, at);
+                    }
+                }
+            });
+        }
+    });
+    assert!(auditor.pending_updates() as u64 >= STREAMS * READS, "every read counted");
+    let mut drained = auditor.drain_updates();
+    assert_eq!(auditor.pending_updates(), 0);
+    drained.sort_by_key(|u| (u.segment.file.0, u.segment.index));
+    drained
+}
+
+/// The same seeded workload drained through 1, 2 and 4 producer threads
+/// yields bit-identical canonicalised batches.
 #[test]
-fn auditor_ablations_drain_byte_identically() {
-    let reference = drive(IngestTuning::default());
-    assert!(!reference.is_empty());
-    for (stripes, batched, hoisted) in [
-        (None, false, true),
-        (Some(1), true, true),
-        (Some(1), false, true),
-        (Some(5), true, true),
-        (Some(1), false, false), // full legacy cost model
-        (None, true, false),
-    ] {
-        let drained = drive(IngestTuning {
-            queue_stripes: stripes,
-            batched_map_updates: batched,
-            hoisted_lookups: hoisted,
-        });
-        assert_byte_identical(&drained, &reference);
+fn thread_count_does_not_change_the_canonical_drain() {
+    let serial = canonical_drain(1);
+    assert_eq!(serial.len() as u64, STREAMS * DATASET / MIB, "every segment staged and drained");
+    for threads in [2, 4] {
+        assert_byte_identical(&canonical_drain(threads), &serial);
     }
 }

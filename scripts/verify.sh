@@ -4,7 +4,10 @@
 #   scripts/verify.sh
 #
 # Stages:
-#   1. tier-1: cargo build --release && cargo test -q  (ROADMAP.md)
+#   1. tier-1: cargo build --release && cargo test -q  (ROADMAP.md). The
+#      root manifest's default-members cover every workspace member, so
+#      this runs the whole test suite, including the golden traces and
+#      the ObsReport stability lint (crates/bench/tests/obs_gate.rs).
 #   2. clippy: the whole workspace must be warning-free.
 #   3. smoke all_figures: seconds-scale figure regeneration through the
 #      parallel scenario runner, into a throwaway results dir so committed
@@ -12,25 +15,18 @@
 #   4. sim_kernel bench in --test mode: one iteration per measurement,
 #      exercising the FxHash/std and raw/coalesced ablations plus the
 #      BENCH_sim_kernel.json emission path.
-#   5. ingest bench smoke: the telemetry-ingestion benchmark runs at smoke
-#      scale (its drain-equivalence asserts run inside the binary) and the
-#      emitted BENCH_ingest.json is checked to be stable: valid JSON,
-#      metric names sorted, and no wall-clock timestamp fields that would
-#      make successive runs diff dirty.
-#   6. chaos determinism: the fault-injected scenario grid runs twice with
+#   5. chaos determinism: the fault-injected scenario grid runs twice with
 #      the same seed (at different worker-thread counts) and the two
 #      fault-counter reports are diffed byte-for-byte; any nondeterminism
 #      in the fault layer fails the build. The binary itself exits
 #      non-zero if graceful degradation (retries/reroutes/abandons) was
 #      not observed.
-#   7. trace determinism: the fig5 decision trace (--bin trace, with
+#   6. trace determinism: the fig5 decision trace (--bin trace, with
 #      --format perfetto) runs twice at different worker-thread counts and
 #      all four artifacts (JSONL decision trace, merged ObsReport,
 #      occupancy timeline, Perfetto JSON) are diffed byte-for-byte — the
-#      observability layer must be sim-clock pure. The ObsReport is then
-#      checked to be stable: valid JSON, keys sorted within every section,
-#      and no wall-clock fields.
-#   8. obs-diff regression gate: fresh smoke ObsReports for every traced
+#      observability layer must be sim-clock pure.
+#   7. obs-diff regression gate: fresh smoke ObsReports for every traced
 #      figure (fig3b/fig5/fig6a/fig6b) are compared against the committed
 #      golden baselines (crates/bench/tests/golden/*.obs.json) under the
 #      DESIGN.md §5.11 tolerance rules — counters/gauges exact, histograms
@@ -60,34 +56,9 @@ echo "== sim_kernel bench, --test mode (results -> $SMOKE_DIR) =="
 HFETCH_BENCH_RESULTS="$SMOKE_DIR" \
 cargo bench -p hfetch-bench --bench sim_kernel -- --test
 
-echo "== ingest bench smoke (results -> $SMOKE_DIR) =="
-HFETCH_BENCH_SCALE=smoke \
-HFETCH_BENCH_RESULTS="$SMOKE_DIR" \
-cargo run -p hfetch-bench --release --bin ingest
-
-for f in BENCH_figures.json BENCH_sim_kernel.json BENCH_ingest.json; do
+for f in BENCH_figures.json BENCH_sim_kernel.json; do
     test -s "$SMOKE_DIR/$f" || { echo "missing perf record: $f" >&2; exit 1; }
 done
-
-echo "== BENCH_ingest.json stability check =="
-python3 - "$SMOKE_DIR/BENCH_ingest.json" <<'PY'
-import json, sys
-
-with open(sys.argv[1]) as f:
-    report = json.load(f)
-
-names = [m["name"] for m in report["metrics"]]
-assert names == sorted(names), "metric names are not sorted: diffs will churn"
-assert len(names) == len(set(names)), "duplicate metric names"
-
-forbidden = ("time", "date", "stamp", "epoch_s", "now")
-context_keys = [k for k in report if k not in ("schema", "metrics")]
-for key in context_keys + names:
-    low = key.lower()
-    assert not any(t in low for t in forbidden), f"wall-clock-ish field: {key}"
-
-print(f"BENCH_ingest.json stable: {len(names)} metrics, sorted, no timestamps")
-PY
 
 echo "== chaos determinism: same seed, twice, different thread counts =="
 CHAOS_SEED=42
@@ -115,36 +86,6 @@ for ext in trace.jsonl obs.json timeline.txt perfetto.json; do
         exit 1
     fi
 done
-
-echo "== ObsReport stability check =="
-python3 - "$SMOKE_DIR/trace_a.obs.json" <<'PY'
-import json, sys
-
-with open(sys.argv[1]) as f:
-    report = json.load(f)
-
-for section in ("counters", "gauges", "histograms"):
-    names = list(report[section])
-    assert names == sorted(names), f"{section} keys are not sorted: diffs will churn"
-
-# Token-exact match (split on non-letters): substring matching would flag
-# legitimate metric names like dht.map.updates ("up_date_s").
-import re
-forbidden = {"wall", "walltime", "unix", "date", "datetime", "utc",
-             "stamp", "timestamp", "now", "clock"}
-def walk(obj):
-    if isinstance(obj, dict):
-        for k, v in obj.items():
-            tokens = set(re.split(r"[^a-z]+", k.lower()))
-            bad = tokens & forbidden
-            assert not bad, f"wall-clock-ish field: {k} ({bad})"
-            walk(v)
-
-walk(report)
-n = sum(len(report[s]) for s in ("counters", "gauges", "histograms"))
-print(f"ObsReport stable: {n} series, sorted, sim-clock only "
-      f"({report['trace_events']} trace events)")
-PY
 
 echo "== obs-diff regression gate: figures vs committed baselines =="
 # Counters/gauges/trace_events exact, histograms within 10% relative
