@@ -38,6 +38,10 @@ use crate::update_queue::UpdateQueue;
 /// Maximum distinct predecessors tracked per segment (`n` saturates here).
 const MAX_PREDECESSORS: usize = 8;
 
+/// Score multiplier applied per step of lookahead distance: an anticipated
+/// successor `k` segments ahead scores `score × LOOKAHEAD_DECAY^k`.
+const LOOKAHEAD_DECAY: f64 = 0.5;
+
 /// Per-segment statistics, stored in the distributed hashmap.
 #[derive(Clone, Debug, Default)]
 pub struct SegmentStat {
@@ -229,7 +233,7 @@ impl Auditor {
         // One size lookup for the whole staging pass.
         let size = self.file_size(file);
         let segments = segment_count(size, self.cfg.segment_size);
-        let history = if self.cfg.heatmap_history { self.heatmaps.load(file) } else { None };
+        let history = self.heatmaps.load(file);
         let mut staged: Vec<ScoreUpdate> = Vec::with_capacity(segments as usize);
         for index in 0..segments {
             let seg = SegmentId::new(file, index);
@@ -282,9 +286,7 @@ impl Auditor {
             self.cfg
                 .obs
                 .trace_event(obs::TraceEvent::EpochEnd { at: now.as_nanos(), file: file.0 });
-            if self.cfg.heatmap_history {
-                self.heatmaps.save(self.snapshot_heatmap(file, now));
-            }
+            self.heatmaps.save(self.snapshot_heatmap(file, now));
         }
         last
     }
@@ -309,9 +311,7 @@ impl Auditor {
         self.cfg
             .obs
             .trace_event(obs::TraceEvent::EpochEnd { at: now.as_nanos(), file: file.0 });
-        if self.cfg.heatmap_history {
-            self.heatmaps.save(self.snapshot_heatmap(file, now));
-        }
+        self.heatmaps.save(self.snapshot_heatmap(file, now));
         true
     }
 
@@ -376,7 +376,7 @@ impl Auditor {
         let total_segments = segment_count(size, self.cfg.segment_size);
         let mut anticipated = *scores.last().expect("non-empty");
         for step in 1..=self.cfg.lookahead {
-            anticipated *= self.cfg.lookahead_decay;
+            anticipated *= LOOKAHEAD_DECAY;
             let index = last_seg.index + step;
             if index >= total_segments {
                 break;

@@ -52,16 +52,12 @@ pub struct HFetchConfig {
     /// How many successor segments to anticipate per access (segment
     /// sequencing drives lookahead; 0 disables anticipation).
     pub lookahead: u64,
-    /// Score multiplier applied per step of lookahead distance (< 1).
-    pub lookahead_decay: f64,
     /// Base score given to every segment of a file when its prefetching
     /// epoch starts (lets the engine stage cold files into spare capacity,
     /// hotter-ranked first).
     pub epoch_base_score: f64,
     /// Drop a file's prefetched segments when its last reader closes it.
     pub evict_on_epoch_end: bool,
-    /// Persist file heatmaps on epoch end and reload them on re-open.
-    pub heatmap_history: bool,
     /// Displacement hysteresis passed to the placement engine: a segment
     /// only displaces a placed one when its score exceeds the victim's by
     /// this factor. 1.0 is the paper's strict Algorithm 1; ~2.0 damps
@@ -88,10 +84,8 @@ impl Default for HFetchConfig {
             score: ScoreParams::default(),
             reactiveness: Reactiveness::default(),
             lookahead: 4,
-            lookahead_decay: 0.5,
             epoch_base_score: 1e-6,
             evict_on_epoch_end: true,
-            heatmap_history: true,
             displacement_margin: 2.0,
             max_inflight_fetches: 64,
             obs: obs::Recorder::default(),
@@ -105,10 +99,6 @@ impl HFetchConfig {
     pub fn validate(&self) {
         assert!(self.segment_size > 0, "segment_size must be positive");
         assert!(self.score.p >= 2.0, "score p must be >= 2 (paper: p >= 2)");
-        assert!(
-            self.lookahead_decay > 0.0 && self.lookahead_decay < 1.0,
-            "lookahead_decay must be in (0, 1)"
-        );
         assert!(self.epoch_base_score >= 0.0, "epoch_base_score must be non-negative");
         assert!(self.reactiveness.score_updates > 0, "score_updates trigger must be positive");
         assert!(self.max_inflight_fetches > 0, "need at least one I/O client slot");
@@ -147,11 +137,5 @@ mod tests {
         let mut c = HFetchConfig::default();
         c.score.p = 1.5;
         c.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "lookahead_decay")]
-    fn invalid_decay_rejected() {
-        HFetchConfig { lookahead_decay: 1.0, ..Default::default() }.validate();
     }
 }

@@ -17,12 +17,18 @@
 //! * [`update_queue`] — the coalescing score-update vector the auditor
 //!   pushes into and the engine drains: latest score per segment, in
 //!   first-touch order.
-//! * [`policy`] — the simulator adapter: wires auditor + engine into
-//!   [`sim::PrefetchPolicy`] so HFetch runs inside the evaluation harness
-//!   against the baselines.
+//! * `executor` (crate-private) — the placement loop both deployments
+//!   share: the engine pass (drain, fetch-on-second-touch filter, causal
+//!   ingest/drain spans) and the action executor (bounded I/O-client
+//!   slots, capacity-denial retries, model reconciliation), generic over
+//!   the transport that moves the bytes.
+//! * [`policy`] — the simulator adapter: wires auditor + engine + executor
+//!   into [`sim::PrefetchPolicy`] so HFetch runs inside the evaluation
+//!   harness against the baselines; the simulator is the transport.
 //! * [`server`] — the real-thread deployment: event queue + hardware
-//!   monitor daemons + engine trigger thread + I/O clients moving actual
-//!   bytes between tier backends.
+//!   monitor daemons + engine trigger thread + the same executor, whose
+//!   transport is a pool of I/O clients moving actual bytes between tier
+//!   backends.
 //! * [`agent`] — the client-side agent: applications read through it; hits
 //!   are served from whichever tier holds the segment, misses fall through
 //!   to the backing store via the instrumented shim.
@@ -37,6 +43,7 @@ pub mod agent;
 pub mod auditor;
 pub mod config;
 pub mod engine;
+mod executor;
 pub mod heatmap;
 pub mod policy;
 pub mod scoring;

@@ -8,12 +8,13 @@
 //! * the **hierarchical data placement engine**, running on its own trigger
 //!   thread (time interval OR score-update count),
 //! * the **data-prefetching I/O clients**: one worker per cache tier
-//!   executing the engine's placement plan against the tier backends,
+//!   copying the bytes the placement executor admits between the tier
+//!   backends — the same executor (and engine pass) the simulator runs,
 //! * the **agent manager**: hands out [`crate::agent::HFetchAgent`]s that
 //!   applications read through.
 //!
 //! The decision components are the same clock-agnostic [`Auditor`] and
-//! [`PlacementEngine`] the simulator drives — here they run under a wall
+//! [`crate::engine::PlacementEngine`] the simulator drives — here under a wall
 //! clock with real bytes moving between backends (in-memory, or directory
 //! backends pointed at tmpfs/NVMe mounts).
 
@@ -22,14 +23,16 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Sender};
 use events::event::{AccessKind, Event};
 use events::monitor::{EventSink, HardwareMonitor, MonitorConfig};
 use events::queue::EventQueue;
 use events::registry::FileRegistry;
 use events::shim::PosixShim;
 use events::watch::WatchManager;
+use obs::SpanCtx;
 use parking_lot::Mutex;
+use sim::engine::FetchOutcome;
 use tiers::backend::{MemoryBackend, StorageBackend};
 use tiers::capacity::CapacityLedger;
 use tiers::ids::{FileId, SegmentId, TierId};
@@ -40,7 +43,8 @@ use tiers::topology::Hierarchy;
 
 use crate::auditor::Auditor;
 use crate::config::HFetchConfig;
-use crate::engine::{PlacementAction, PlacementEngine};
+use crate::engine::PlacementAction;
+use crate::executor::{Executor, Transport};
 
 /// Aggregate server counters.
 #[derive(Debug, Default)]
@@ -53,13 +57,13 @@ pub struct ServerStats {
     pub prefetched_bytes: AtomicU64,
     /// Bytes evicted from cache tiers.
     pub evicted_bytes: AtomicU64,
-    /// Fetches denied for lack of capacity.
+    /// Fetches given up after their last capacity denial.
     pub denied_fetches: AtomicU64,
     /// Placement engine runs.
     pub engine_runs: AtomicU64,
     /// Copy attempts retried after a transient backend failure.
     pub retried_copies: AtomicU64,
-    /// Fetches abandoned after a permanent failure, an offline tier, or an
+    /// Copies abandoned after a permanent failure, an offline tier, or an
     /// exhausted retry budget (the reservation is rolled back).
     pub failed_fetches: AtomicU64,
 }
@@ -73,22 +77,25 @@ impl ServerStats {
     }
 }
 
-/// Work items for the per-tier I/O clients.
-enum Job {
-    Fetch {
-        file: FileId,
-        range: ByteRange,
-        to: TierId,
-        /// For moves: the tier whose capacity was already released at
-        /// dispatch (see `dispatch_actions`) — the eviction after the copy
-        /// must not release it again.
-        released_from: Option<TierId>,
-        /// Causal parent for the transfer span: the placement decision
-        /// that scheduled this job (NONE when observability is off).
-        span: obs::SpanCtx,
-    },
-    Evict { file: FileId, range: ByteRange, from: TierId },
-    Stop,
+/// A copy the executor admitted, for an I/O client to carry out.
+struct Job {
+    file: FileId,
+    range: ByteRange,
+    to: TierId,
+    /// The cache tier whose copy this job moves: its capacity was released
+    /// at admission, so the eviction after the copy must not release it
+    /// again.
+    released: Option<TierId>,
+    /// The placement decision that scheduled this job, parent of its
+    /// transfer span (NONE when observability is off).
+    span: SpanCtx,
+}
+
+/// The engine and the executor carrying out its plan, under one lock.
+struct Placement {
+    exec: Executor,
+    /// The I/O clients' job channel; `None` once shutdown has closed it.
+    jobs: Option<Sender<Job>>,
 }
 
 /// Shared server state (the paper's "HFetch server core").
@@ -96,18 +103,67 @@ pub struct ServerInner {
     cfg: HFetchConfig,
     hierarchy: Hierarchy,
     auditor: Auditor,
-    engine: Mutex<PlacementEngine>,
+    placement: Mutex<Placement>,
     backends: Vec<Arc<dyn StorageBackend>>,
     ledger: CapacityLedger,
     mover: DataMover,
     retry: RetryPolicy,
     registry: Arc<FileRegistry>,
-    watches: Arc<WatchManager>,
     queue: EventQueue,
     clock: Arc<dyn Clock>,
     stats: ServerStats,
-    io_tx: Mutex<Option<Sender<Job>>>,
-    io_inflight: AtomicU64,
+}
+
+/// The real-thread [`Transport`]: admits copies against the capacity
+/// ledger and hands them to the I/O clients.
+struct Io<'a> {
+    server: &'a ServerInner,
+    jobs: Option<&'a Sender<Job>>,
+}
+
+impl Transport for Io<'_> {
+    fn file_size(&self, file: FileId) -> u64 {
+        self.server.auditor.file_size(file)
+    }
+
+    /// Admission mirrors `SimCtl::fetch_traced`: a cache-tier source's
+    /// capacity is released up front (a planned swap would deadlock if each
+    /// side held its reservation until the other completed), the
+    /// destination is reserved, and a denial restores the source. It never
+    /// blocks: the executor retries a denial on a later completion or tick.
+    fn fetch(&mut self, file: FileId, range: ByteRange, to: TierId, span: SpanCtx) -> FetchOutcome {
+        let s = self.server;
+        let Some(jobs) = self.jobs else {
+            // Shutting down: nothing will carry the copy out.
+            return FetchOutcome { abandoned: range.len, ..Default::default() };
+        };
+        let held = s.cache_holder(file, range, to);
+        let newly = range.len - s.backends[to.index()].covered_bytes(file, range);
+        if newly == 0 {
+            // Already at the destination: a redundant source copy goes, to
+            // keep residency exclusive.
+            if let Some(from) = held {
+                s.evict(file, range, from);
+            }
+            return FetchOutcome { already_resident: range.len, ..Default::default() };
+        }
+        if let Some(from) = held {
+            s.ledger.release_clamped(from, range.len);
+        }
+        if s.ledger.reserve(to, newly).is_err() {
+            if let Some(from) = held {
+                let _ = s.ledger.reserve(from, range.len);
+            }
+            return FetchOutcome { denied: newly, ..Default::default() };
+        }
+        jobs.send(Job { file, range, to, released: held, span })
+            .expect("the I/O clients run while the job channel is open");
+        FetchOutcome { scheduled: newly, transfers: 1, ..Default::default() }
+    }
+
+    fn discard(&mut self, file: FileId, range: ByteRange, tier: TierId) {
+        self.server.evict(file, range, tier);
+    }
 }
 
 impl ServerInner {
@@ -141,12 +197,6 @@ impl ServerInner {
         &self.clock
     }
 
-    /// The watch table (shared with the shim; lets tools inspect which
-    /// files are in an epoch from the server side).
-    pub fn watches(&self) -> &Arc<WatchManager> {
-        &self.watches
-    }
-
     /// Exports component counters — the event queue and the auditor's
     /// statistics-map shards — into the configured recorder. The counters
     /// are cumulative snapshots, so call once per run (shutdown does).
@@ -158,251 +208,132 @@ impl ServerInner {
         self.auditor.export_obs();
     }
 
-    fn submit(&self, job: Job) {
-        let tx = self.io_tx.lock();
-        if let Some(tx) = tx.as_ref() {
-            self.io_inflight.fetch_add(1, Ordering::Release);
-            if tx.send(job).is_err() {
-                self.io_inflight.fetch_sub(1, Ordering::Release);
-            }
-        }
-    }
-
-    /// The lifecycle span of `segment`'s current placement, for parenting
-    /// the transfer span that executes it. NONE (and lock-free) when the
-    /// recorder is disabled.
-    fn placement_span_of(&self, segment: SegmentId) -> obs::SpanCtx {
-        if !self.cfg.obs.is_enabled() {
-            return obs::SpanCtx::NONE;
-        }
-        self.engine.lock().span_of(segment)
-    }
-
     /// The lifecycle span covering `(file, offset)` — the decision that
     /// staged whatever is cached there. Agents parent application-read
     /// spans here so a read chains back to the prefetch that served it.
-    pub fn placement_span(&self, file: FileId, offset: u64) -> obs::SpanCtx {
+    /// NONE (and lock-free) when the recorder is disabled.
+    pub fn placement_span(&self, file: FileId, offset: u64) -> SpanCtx {
+        if !self.cfg.obs.is_enabled() {
+            return SpanCtx::NONE;
+        }
         let segment = SegmentId::new(file, offset / self.cfg.segment_size);
-        self.placement_span_of(segment)
+        self.placement.lock().exec.engine.span_of(segment)
     }
 
-    fn dispatch_actions(&self, actions: Vec<PlacementAction>) {
-        for action in actions {
-            match action {
-                PlacementAction::Fetch { segment, to } => {
-                    let size = self.auditor.file_size(segment.file);
-                    let range = segment_range(segment.index, self.cfg.segment_size, size);
-                    if !range.is_empty() {
-                        let span = self.placement_span_of(segment);
-                        self.submit(Job::Fetch {
-                            file: segment.file,
-                            range,
-                            to,
-                            released_from: None,
-                            span,
-                        });
-                    }
-                }
-                PlacementAction::Move { segment, from, to } => {
-                    let size = self.auditor.file_size(segment.file);
-                    let range = segment_range(segment.index, self.cfg.segment_size, size);
-                    if !range.is_empty() {
-                        // Release the source's capacity now: the engine's
-                        // plan considers the move done, and a planned swap
-                        // (A down, B up) would deadlock if each side held
-                        // its reservation until the other completed.
-                        let covered = self.backends[from.index()].covered_bytes(segment.file, range);
-                        self.ledger.release_clamped(from, covered);
-                        let span = self.placement_span_of(segment);
-                        self.submit(Job::Fetch {
-                            file: segment.file,
-                            range,
-                            to,
-                            released_from: Some(from),
-                            span,
-                        });
-                    }
-                }
-                PlacementAction::Evict { segment, from } => {
-                    let size = self.auditor.file_size(segment.file);
-                    let range = segment_range(segment.index, self.cfg.segment_size, size);
-                    self.submit(Job::Evict { file: segment.file, range, from });
-                }
-            }
-        }
+    /// Runs `f` on the executor under the placement lock, with the I/O
+    /// clients as its transport.
+    fn with_exec<R>(&self, f: impl FnOnce(&mut Executor, &mut Io) -> R) -> R {
+        let mut placement = self.placement.lock();
+        let Placement { exec, jobs } = &mut *placement;
+        let r = f(exec, &mut Io { server: self, jobs: jobs.as_ref() });
+        self.stats.denied_fetches.store(exec.denied, Ordering::Relaxed);
+        self.stats.engine_runs.store(exec.engine.runs(), Ordering::Relaxed);
+        r
     }
 
-    /// Executes one fetch job (I/O client body). `span` is the placement
-    /// decision the job executes; the copy runs under a `transfer` child
-    /// span with a `landing` instant on success.
-    fn do_fetch(
-        &self,
-        file: FileId,
-        range: ByteRange,
-        to: TierId,
-        released_from: Option<TierId>,
-        span: obs::SpanCtx,
-    ) {
-        let dst = &self.backends[to.index()];
-        let newly = range.len - dst.covered_bytes(file, range);
-        if newly == 0 {
-            // Already at the destination: a move's source copy is now
-            // redundant, so drop it to keep residency exclusive.
-            if let Some(from) = released_from {
-                let _ = self.backends[from.index()].evict(file, range);
-            }
-            self.restore_source(file, range, released_from);
-            return;
-        }
-        // A promotion often races the demotion that frees its space
-        // (capacity is released when the demotion's copy completes), so
-        // denied reservations retry briefly before giving up.
-        let mut reserved = false;
-        for attempt in 0..4 {
-            if self.ledger.reserve(to, newly).is_ok() {
-                reserved = true;
-                break;
-            }
-            if attempt < 3 {
-                std::thread::sleep(Duration::from_millis(1 << attempt));
-            }
-        }
-        if !reserved {
-            self.stats.denied_fetches.fetch_add(1, Ordering::Relaxed);
-            // The placement will never happen: reconcile the engine's
-            // model with reality, as the simulator's pump does, or the
-            // engine would believe `to` holds a segment it does not.
-            let segment = SegmentId::new(file, range.offset / self.cfg.segment_size);
-            self.engine.lock().remove_segment(segment);
-            self.restore_source(file, range, released_from);
-            return;
-        }
-        // Find the fastest current holder.
+    /// The fastest cache tier other than `to` holding all of `range`.
+    fn cache_holder(&self, file: FileId, range: ByteRange, to: TierId) -> Option<TierId> {
+        self.hierarchy
+            .iter_cache()
+            .map(|(tier, _)| tier)
+            .find(|&tier| tier != to && self.backends[tier.index()].resident(file, range))
+    }
+
+    /// Carries out one admitted copy (I/O client body), then reports back
+    /// to the executor. The copy runs under a `transfer` child span of the
+    /// job's decision, with a `landing` instant on success.
+    fn copy(&self, job: Job) {
+        let Job { file, range, to, released, span } = job;
         let backing = self.hierarchy.backing();
-        let mut src = backing;
-        for (tier, _) in self.hierarchy.iter_cache() {
-            if tier != to && self.backends[tier.index()].resident(file, range) {
-                src = tier;
-                break;
-            }
-        }
-        let t_span = if self.cfg.obs.is_enabled() {
-            self.cfg.obs.span_start(
-                "transfer",
-                span,
-                self.clock.now().as_nanos(),
-                file.0,
-                range.offset,
-            )
-        } else {
-            obs::SpanCtx::NONE
-        };
-        // Transient backend failures (flaky device, injected fault) are
-        // retried with exponential backoff; the I/O client sleeps the
-        // backoff since it runs on a real thread. Anything else — source
-        // changed under us (demotion race), a tier offline, a permanent
-        // I/O error, or an exhausted retry budget — abandons the fetch and
-        // rolls back so residency and capacity accounting stay consistent.
-        match self.mover.copy_with_retry_recorded(
+        let src = self.cache_holder(file, range, to).unwrap_or(backing);
+        let rec = &self.cfg.obs;
+        let t_span =
+            rec.span_start("transfer", span, self.clock.now().as_nanos(), file.0, range.offset);
+        // Transient backend failures are retried, sleeping the backoff.
+        // Anything else — the source changed under us, a tier offline, a
+        // permanent I/O error, an exhausted retry budget — fails the copy:
+        // it rolls back here and the executor reconciles the model.
+        let copied = self.mover.copy_with_retry(
             file,
             range,
             self.backends[src.index()].as_ref(),
-            dst.as_ref(),
+            self.backends[to.index()].as_ref(),
             &self.retry,
             &mut std::thread::sleep,
-            &self.cfg.obs,
+            rec,
             (src.0, to.0),
-        ) {
+        );
+        if !t_span.is_none() {
+            let at = self.clock.now().as_nanos();
+            if copied.is_ok() {
+                rec.span_instant("landing", t_span, at, file.0, range.offset);
+            }
+            rec.span_end(t_span, at);
+        }
+        let failed = match copied {
             Ok(receipt) => {
-                if receipt.attempts > 1 {
-                    self.stats
-                        .retried_copies
-                        .fetch_add(u64::from(receipt.attempts - 1), Ordering::Relaxed);
-                }
-                if !t_span.is_none() {
-                    let at = self.clock.now().as_nanos();
-                    self.cfg.obs.span_instant("landing", t_span, at, file.0, range.offset);
-                    self.cfg.obs.span_end(t_span, at);
-                }
+                let retries = u64::from(receipt.attempts - 1);
+                self.stats.retried_copies.fetch_add(retries, Ordering::Relaxed);
                 self.stats.prefetched_bytes.fetch_add(receipt.bytes, Ordering::Relaxed);
-                // Exclusive cache: remove from the (cache) source. The
-                // dispatch path already released the planned source's
-                // accounting; only an unexpected source releases here.
+                // Exclusive cache: remove from the (cache) source. Admission
+                // already released the planned source's accounting; only an
+                // unexpected source releases here.
                 if src != backing {
                     if let Ok(evicted) = self.backends[src.index()].evict(file, range) {
-                        if released_from != Some(src) {
+                        if released != Some(src) {
                             self.ledger.release_clamped(src, evicted);
                         }
                     }
                 }
+                None
             }
             Err(_) => {
-                if !t_span.is_none() {
-                    self.cfg.obs.span_end(t_span, self.clock.now().as_nanos());
-                }
                 self.stats.failed_fetches.fetch_add(1, Ordering::Relaxed);
                 // A failed chunked copy may leave a partial prefix on the
                 // destination; drop it so no unaccounted bytes linger, then
-                // return the whole range's accounting to the pool.
+                // return the whole range's accounting to the pool, and
+                // account the source's untouched copy to it again.
                 let _ = self.backends[to.index()].evict(file, range);
                 self.ledger.release_clamped(to, range.len);
-                self.restore_source(file, range, released_from);
+                let segment = SegmentId::new(file, range.offset / self.cfg.segment_size);
+                Some(match released {
+                    Some(from) => {
+                        let still = self.backends[from.index()].covered_bytes(file, range);
+                        let _ = self.ledger.reserve(from, still);
+                        PlacementAction::Move { segment, from, to }
+                    }
+                    None => PlacementAction::Fetch { segment, to },
+                })
             }
-        }
+        };
+        self.with_exec(|exec, io| exec.transfer_done(failed, io));
     }
 
-    /// Rolls back a move that did not complete: dispatch released the
-    /// source's capacity up front, so whatever the source still holds of
-    /// `range` is accounted to it again. No-op for plain fetches.
-    fn restore_source(&self, file: FileId, range: ByteRange, released_from: Option<TierId>) {
-        if let Some(from) = released_from {
-            let still = self.backends[from.index()].covered_bytes(file, range);
-            let _ = self.ledger.reserve(from, still);
-        }
-    }
-
-    fn do_evict(&self, file: FileId, range: ByteRange, from: TierId) {
-        if let Ok(evicted) = self.backends[from.index()].evict(file, range) {
+    /// Drops `range` of `file` from cache tier `tier`.
+    fn evict(&self, file: FileId, range: ByteRange, tier: TierId) {
+        if let Ok(evicted) = self.backends[tier.index()].evict(file, range) {
             if evicted > 0 {
-                let _ = self.ledger.release(from, evicted);
+                self.ledger.release_clamped(tier, evicted);
                 self.stats.evicted_bytes.fetch_add(evicted, Ordering::Relaxed);
             }
         }
     }
 
-    /// One engine pass if triggered (or forced); returns actions executed.
-    fn engine_pass(&self, force: bool) -> usize {
+    /// One engine pass if triggered (or, with `force`, whenever updates
+    /// are pending); otherwise retries queued actions. Returns whether the
+    /// engine ran.
+    fn tick(&self, force: bool) -> bool {
         let now = self.clock.now();
-        let mut engine = self.engine.lock();
         let pending = self.auditor.pending_updates();
-        if !force && !engine.should_trigger(now, pending) {
-            return 0;
-        }
-        if pending == 0 {
-            return 0;
-        }
-        let updates = self.auditor.drain_updates();
-        // Causal root of this pass (see `HFetchPolicy::run_engine` for the
-        // simulator twin): ingest window → drain instant → decisions.
-        let mut drain = obs::SpanCtx::NONE;
-        if let Some(since) = self.auditor.take_pending_since() {
-            // A daemon may stamp a push after `now` was sampled (real
-            // threads, unlike the simulator): clamp so the span stays
-            // well-formed.
-            let start = since.as_nanos().min(now.as_nanos());
-            self.cfg.obs.span("auditor.drain_latency_ns", obs::Label::None, start, now.as_nanos());
-            let ingest =
-                self.cfg.obs.span_start("ingest", obs::SpanCtx::NONE, start, 0, engine.runs());
-            drain =
-                self.cfg.obs.span_instant("drain", ingest, now.as_nanos(), 0, updates.len() as u64);
-            self.cfg.obs.span_end(ingest, now.as_nanos());
-        }
-        let actions = engine.run_traced(updates, now, drain);
-        self.stats.engine_runs.fetch_add(1, Ordering::Relaxed);
-        let n = actions.len();
-        drop(engine);
-        self.dispatch_actions(actions);
-        n
+        self.with_exec(|exec, io| {
+            let run = pending > 0 && (force || exec.engine.should_trigger(now, pending));
+            if run {
+                exec.run_engine(&self.auditor, now, io);
+            } else {
+                exec.pump(io);
+            }
+            run
+        })
     }
 
     fn handle_event(&self, event: &Event) {
@@ -423,19 +354,21 @@ impl ServerInner {
                 // `observe_write` has already grown the file if needed, so
                 // the size is stable across the loop.
                 let size = self.auditor.file_size(access.file);
-                let mut engine = self.engine.lock();
+                let mut placement = self.placement.lock();
                 for seg in segments {
-                    engine.remove_segment(seg);
+                    placement.exec.engine.remove_segment(seg);
                     let range = segment_range(seg.index, self.cfg.segment_size, size);
                     for (tier, _) in self.hierarchy.iter_cache() {
-                        self.do_evict(access.file, range, tier);
+                        self.evict(access.file, range, tier);
                     }
                 }
             }
             AccessKind::Close => {
                 if self.auditor.end_epoch(access.file, now) && self.cfg.evict_on_epoch_end {
-                    let actions = self.engine.lock().evict_file(access.file);
-                    self.dispatch_actions(actions);
+                    self.with_exec(|exec, io| {
+                        let actions = exec.engine.evict_file(access.file);
+                        exec.execute(actions, io);
+                    });
                 }
             }
         }
@@ -480,35 +413,31 @@ impl HFetchServer {
         let watches = Arc::new(WatchManager::new());
         let queue = EventQueue::with_capacity(1 << 16);
         let ledger = CapacityLedger::new(&hierarchy);
-        let mut engine = PlacementEngine::new(&hierarchy, cfg.reactiveness);
-        engine.set_recorder(cfg.obs.clone());
+        let exec = Executor::new(&cfg, &hierarchy);
         let auditor = Auditor::new(cfg.clone());
         let backing = Arc::clone(&backends[hierarchy.backing().index()]);
 
-        let (io_tx, io_rx): (Sender<Job>, Receiver<Job>) = unbounded();
+        let (jobs, io_rx) = unbounded::<Job>();
         let inner = Arc::new(ServerInner {
             cfg,
             hierarchy,
             auditor,
-            engine: Mutex::new(engine),
+            placement: Mutex::new(Placement { exec, jobs: Some(jobs) }),
             backends,
             ledger,
             mover: DataMover::new(),
             retry: RetryPolicy::default(),
             registry: Arc::clone(&registry),
-            watches: Arc::clone(&watches),
             queue: queue.clone(),
             clock: Arc::clone(&clock),
             stats: ServerStats::default(),
-            io_tx: Mutex::new(Some(io_tx)),
-            io_inflight: AtomicU64::new(0),
         });
 
         let shim = Arc::new(PosixShim::new(registry, watches, queue.clone(), clock, backing));
 
         // I/O clients: one worker per cache tier, all pulling from the
         // shared job channel (work-stealing keeps a busy tier from
-        // starving).
+        // starving). The executor bounds the jobs in flight.
         let io_workers = inner.hierarchy.cache_tiers().max(1);
         let mut io_threads = Vec::with_capacity(io_workers);
         for i in 0..io_workers {
@@ -519,19 +448,7 @@ impl HFetchServer {
                     .name(format!("hfetch-io-{i}"))
                     .spawn(move || {
                         while let Ok(job) = rx.recv() {
-                            match job {
-                                Job::Fetch { file, range, to, released_from, span } => {
-                                    inner_.do_fetch(file, range, to, released_from, span)
-                                }
-                                Job::Evict { file, range, from } => {
-                                    inner_.do_evict(file, range, from)
-                                }
-                                Job::Stop => {
-                                    inner_.io_inflight.fetch_sub(1, Ordering::Release);
-                                    break;
-                                }
-                            }
-                            inner_.io_inflight.fetch_sub(1, Ordering::Release);
+                            inner_.copy(job);
                         }
                     })
                     .expect("spawn io client"),
@@ -556,7 +473,7 @@ impl HFetchServer {
                     if shutdown.load(Ordering::Acquire) {
                         break;
                     }
-                    if inner.engine_pass(false) == 0 {
+                    if !inner.tick(false) {
                         std::thread::sleep(Duration::from_millis(2));
                     }
                 })
@@ -596,8 +513,8 @@ impl HFetchServer {
     }
 
     /// Blocks until the event queue is drained, the engine has run over
-    /// all pending updates, and the I/O clients are idle. Gives tests and
-    /// examples a deterministic settle point.
+    /// all pending updates, and the placement executor is idle. Gives tests
+    /// and examples a deterministic settle point.
     pub fn quiesce(&self) {
         loop {
             if let Some(m) = &self.monitor {
@@ -605,10 +522,10 @@ impl HFetchServer {
             }
             // Allow in-flight daemon handoffs to land.
             std::thread::sleep(Duration::from_millis(5));
-            self.inner.engine_pass(true);
-            if self.inner.io_inflight.load(Ordering::Acquire) == 0
-                && self.inner.queue.is_empty()
+            self.inner.tick(true);
+            if self.inner.queue.is_empty()
                 && self.inner.auditor.pending_updates() == 0
+                && self.inner.placement.lock().exec.is_idle()
             {
                 break;
             }
@@ -619,38 +536,30 @@ impl HFetchServer {
     pub fn shutdown(mut self) {
         self.quiesce();
         self.inner.export_obs();
+        if let Some(m) = self.monitor.take() {
+            m.stop();
+        }
+        self.stop();
+        for t in self.io_threads.drain(..) {
+            let _ = t.join();
+        }
+    }
+
+    /// Stops the engine thread and closes the job channel, which stops the
+    /// I/O clients once they drain it.
+    fn stop(&mut self) {
         self.shutdown.store(true, Ordering::Release);
         if let Some(t) = self.engine_thread.take() {
             let _ = t.join();
         }
-        if let Some(m) = self.monitor.take() {
-            m.stop();
-        }
-        // Stop the I/O clients.
-        {
-            let tx_slot = self.inner.io_tx.lock();
-            if let Some(tx) = tx_slot.as_ref() {
-                for _ in 0..self.io_threads.len() {
-                    self.inner.io_inflight.fetch_add(1, Ordering::Release);
-                    let _ = tx.send(Job::Stop);
-                }
-            }
-        }
-        *self.inner.io_tx.lock() = None;
-        for t in self.io_threads.drain(..) {
-            let _ = t.join();
-        }
+        self.inner.placement.lock().jobs = None;
     }
 }
 
 impl Drop for HFetchServer {
     fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::Release);
-        if let Some(t) = self.engine_thread.take() {
-            let _ = t.join();
-        }
-        // Monitor and I/O threads stop via their own Drop/channel closure.
-        *self.inner.io_tx.lock() = None;
+        // The monitor stops via its own Drop.
+        self.stop();
     }
 }
 
@@ -825,10 +734,101 @@ mod tests {
         server.shutdown();
     }
 
-    /// Dispatches a `Move` of a 1 MiB segment that sits on NVMe (tier 1,
+    /// Model == residency: each segment of `file` (`size` bytes) is held
+    /// by exactly the cache tier the engine places it on (or by none), and
+    /// every cache tier's ledger equals its backend's resident bytes.
+    fn assert_model_matches_backends(inner: &ServerInner, file: FileId, size: u64) {
+        let engine = &inner.placement.lock().exec.engine;
+        for index in 0..tiers::range::segment_count(size, inner.cfg.segment_size) {
+            let segment = SegmentId::new(file, index);
+            let range = segment_range(index, inner.cfg.segment_size, size);
+            let holders: Vec<TierId> = inner
+                .hierarchy
+                .iter_cache()
+                .map(|(tier, _)| tier)
+                .filter(|&tier| inner.backend(tier).covered_bytes(file, range) > 0)
+                .collect();
+            let modelled = engine.location(segment);
+            assert_eq!(holders, modelled.into_iter().collect::<Vec<_>>(), "{segment:?} holders");
+            if let Some(tier) = modelled {
+                assert!(inner.backend(tier).resident(file, range), "{segment:?} part on {tier:?}");
+            }
+        }
+        for (tier, _) in inner.hierarchy.iter_cache() {
+            let used = inner.backend(tier).used_bytes();
+            assert_eq!(inner.ledger.used(tier), used, "{tier:?} ledger");
+        }
+    }
+
+    fn open_staged(server: &HFetchServer, path: &str, size: u64) -> events::shim::FileHandle {
+        let shim = server.shim();
+        shim.stage_file(path, size).unwrap();
+        let (h, _) = shim.fopen(
+            path,
+            events::shim::OpenMode::Read,
+            tiers::ids::ProcessId(0),
+            tiers::ids::AppId(0),
+        );
+        server.quiesce();
+        h
+    }
+
+    #[test]
+    fn failed_copies_reconcile_the_model() {
+        use tiers::faults::{FaultConfig, FaultPlan, FlakyBackend};
+        let hierarchy = small_hierarchy();
+        let n = hierarchy.len();
+        let flaky = Arc::new(FlakyBackend::new(
+            Arc::new(MemoryBackend::new()),
+            TierId(0),
+            FaultPlan::new(FaultConfig::with_seed(0)),
+        ));
+        flaky.set_offline(true);
+        let server = HFetchServer::start(
+            HFetchConfig::default(),
+            hierarchy,
+            backends_with_tier0(flaky, n),
+            2,
+        );
+        // Staging plans segments into the offline RAM tier, and those
+        // copies fail: the engine must forget them rather than believe RAM
+        // holds them.
+        let h = open_staged(&server, "/offline/input", mib(12));
+        assert!(server.stats().failed_fetches.load(Ordering::Relaxed) > 0);
+        assert!(server.inner().backend(TierId(1)).resident_bytes(h.file()) > 0, "NVMe staged");
+        assert_model_matches_backends(server.inner(), h.file(), mib(12));
+        server.shim().fclose(&h);
+        server.shutdown();
+    }
+
+    #[test]
+    fn denied_move_source_is_evicted_at_epoch_end() {
+        let server = HFetchServer::in_memory(HFetchConfig::default(), small_hierarchy());
+        let h = open_staged(&server, "/moved", MIB);
+        let inner = server.inner();
+        let segment = SegmentId::new(h.file(), 0);
+        assert_eq!(inner.placement.lock().exec.engine.location(segment), Some(TierId(0)));
+        // NVMe is full, so demoting the segment there is finally denied.
+        let free = inner.ledger.available(TierId(1));
+        inner.ledger.reserve(TierId(1), free).unwrap();
+        inner.with_exec(|exec, io| {
+            let demote = PlacementAction::Move { segment, from: TierId(0), to: TierId(1) };
+            exec.execute(vec![demote], io);
+        });
+        server.quiesce();
+        assert_eq!(server.stats().denied_fetches.load(Ordering::Relaxed), 1);
+        server.shim().fclose(&h);
+        server.quiesce();
+        for (tier, _) in inner.hierarchy.iter_cache() {
+            assert_eq!(inner.backend(tier).resident_bytes(h.file()), 0, "{tier:?} after epoch end");
+        }
+        server.shutdown();
+    }
+
+    /// Executes a `Move` of a 1 MiB segment that sits on NVMe (tier 1,
     /// accounted in the ledger) up to RAM (tier 0), after `prepare` has
-    /// shaped the destination, and waits for the I/O client to finish.
-    fn dispatch_nvme_to_ram_move(prepare: impl FnOnce(&ServerInner, FileId)) -> HFetchServer {
+    /// shaped the destination, and waits for the executor to go idle.
+    fn move_nvme_to_ram(prepare: impl FnOnce(&ServerInner, FileId)) -> HFetchServer {
         let server = HFetchServer::in_memory(HFetchConfig::default(), small_hierarchy());
         let inner = server.inner();
         let file = FileId(77);
@@ -836,29 +836,29 @@ mod tests {
         inner.backend(TierId(1)).write(file, 0, &vec![7u8; MIB as usize]).unwrap();
         inner.ledger.reserve(TierId(1), MIB).unwrap();
         prepare(inner, file);
-        inner.dispatch_actions(vec![PlacementAction::Move {
-            segment: SegmentId::new(file, 0),
-            from: TierId(1),
-            to: TierId(0),
-        }]);
+        inner.with_exec(|exec, io| {
+            let segment = SegmentId::new(file, 0);
+            let promote = PlacementAction::Move { segment, from: TierId(1), to: TierId(0) };
+            exec.execute(vec![promote], io);
+        });
         server.quiesce();
         server
     }
 
     #[test]
     fn denied_move_keeps_source_accounted() {
-        // RAM is full, so the promotion is denied and the bytes never
-        // leave NVMe: the ledger must account them to NVMe again.
-        let server = dispatch_nvme_to_ram_move(|inner, _| {
+        // RAM is full of another file, so the promotion is finally denied.
+        // As in the simulator, the move's source copy is then discarded:
+        // no cached bytes linger outside the engine's model.
+        let server = move_nvme_to_ram(|inner, _| {
             let free = inner.ledger.available(TierId(0));
+            inner.backend(TierId(0)).write(FileId(78), 0, &vec![1u8; free as usize]).unwrap();
             inner.ledger.reserve(TierId(0), free).unwrap();
         });
         let inner = server.inner();
-        let file = FileId(77);
         assert_eq!(server.stats().denied_fetches.load(Ordering::Relaxed), 1);
         assert_eq!(server.stats().failed_fetches.load(Ordering::Relaxed), 0, "a denial is not a failure");
-        assert_eq!(inner.backend(TierId(1)).resident_bytes(file), MIB, "bytes stay on the source");
-        assert_eq!(inner.ledger.used(TierId(1)), inner.backend(TierId(1)).resident_bytes(file));
+        assert_model_matches_backends(inner, FileId(77), MIB);
         server.shutdown();
     }
 
@@ -866,7 +866,7 @@ mod tests {
     fn move_already_at_destination_drops_the_source_copy() {
         // The segment already landed in RAM: the move copies nothing, and
         // the redundant NVMe copy goes so residency stays exclusive.
-        let server = dispatch_nvme_to_ram_move(|inner, file| {
+        let server = move_nvme_to_ram(|inner, file| {
             inner.backend(TierId(0)).write(file, 0, &vec![7u8; MIB as usize]).unwrap();
             inner.ledger.reserve(TierId(0), MIB).unwrap();
         });
