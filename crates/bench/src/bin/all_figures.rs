@@ -8,7 +8,7 @@
 use std::time::Instant;
 
 use bench_support::perf::{Metric, PerfReport};
-use bench_support::{figures, runner, table, BenchScale, Table};
+use bench_support::{figures, runner, table, BenchScale};
 
 fn main() {
     let scale = BenchScale::from_env();
@@ -20,27 +20,16 @@ fn main() {
         if threads == 1 { "" } else { "s" },
     );
 
-    type FigureJob = Box<dyn Fn() -> Table>;
-    let figure_set: Vec<(&str, FigureJob)> = vec![
-        ("fig3a", Box::new(move || figures::fig3a::run(scale))),
-        ("fig3b", Box::new(move || figures::fig3b::run_with_threads(scale, threads))),
-        ("fig4a", Box::new(move || figures::fig4a::run_with_threads(scale, threads))),
-        ("fig4b", Box::new(move || figures::fig4b::run_with_threads(scale, threads))),
-        ("fig5", Box::new(move || figures::fig5::run_with_threads(scale, threads))),
-        ("fig6a", Box::new(move || figures::fig6::run_montage_with_threads(scale, threads))),
-        ("fig6b", Box::new(move || figures::fig6::run_wrf_with_threads(scale, threads))),
-    ];
-
     let mut perf = PerfReport::new("hfetch-bench-figures/1")
         .context("scale", scale.label())
         .context("threads", threads.to_string());
     let total = Instant::now();
-    for (name, run) in figure_set {
+    for figure in figures::FIGURES {
         let start = Instant::now();
-        let figure = run();
+        let rendered = figure.table(scale, threads);
         let wall = start.elapsed().as_secs_f64();
-        figure.save(name).unwrap_or_else(|e| panic!("saving {name}: {e}"));
-        perf.push(Metric::new(name, wall, "s"));
+        rendered.save(figure.name).unwrap_or_else(|e| panic!("saving {}: {e}", figure.name));
+        perf.push(Metric::new(figure.name, wall, "s"));
     }
     perf.push(Metric::new("total", total.elapsed().as_secs_f64(), "s"));
     perf.save(&table::results_dir(), "BENCH_figures.json").expect("perf record");

@@ -6,8 +6,9 @@
 //! ```
 //!
 //! Exits non-zero if the faulted cells failed to show graceful degradation
-//! (no retries / reroutes / abandons observed). `scripts/verify.sh` runs
-//! this twice with the same seed and diffs the outputs to pin determinism.
+//! (no retries / reroutes / abandons observed). The report is
+//! byte-identical for equal seeds at any `HFETCH_BENCH_THREADS` (pinned by
+//! the `chaos` module's tests).
 
 const USAGE: &str = "usage: chaos [--seed N] [--out FILE]";
 

@@ -1,7 +1,4 @@
 //! Regenerates the paper's Fig. 3a (see `bench_support::figures::fig3a`).
-use bench_support::{figures, BenchScale};
-
 fn main() {
-    let scale = BenchScale::from_env();
-    figures::fig3a::run(scale).save("fig3a").expect("write results");
+    bench_support::figures::figure("fig3a").expect("registered figure").save_from_env();
 }

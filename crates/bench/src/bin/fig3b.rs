@@ -1,7 +1,4 @@
 //! Regenerates the paper's Fig. 3b (see `bench_support::figures::fig3b`).
-use bench_support::{figures, BenchScale};
-
 fn main() {
-    let scale = BenchScale::from_env();
-    figures::fig3b::run(scale).save("fig3b").expect("write results");
+    bench_support::figures::figure("fig3b").expect("registered figure").save_from_env();
 }

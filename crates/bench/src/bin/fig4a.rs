@@ -1,7 +1,4 @@
 //! Regenerates the paper's Fig. 4a (see `bench_support::figures::fig4a`).
-use bench_support::{figures, BenchScale};
-
 fn main() {
-    let scale = BenchScale::from_env();
-    figures::fig4a::run(scale).save("fig4a").expect("write results");
+    bench_support::figures::figure("fig4a").expect("registered figure").save_from_env();
 }

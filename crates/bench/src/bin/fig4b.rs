@@ -1,7 +1,4 @@
 //! Regenerates the paper's Fig. 4b (see `bench_support::figures::fig4b`).
-use bench_support::{figures, BenchScale};
-
 fn main() {
-    let scale = BenchScale::from_env();
-    figures::fig4b::run(scale).save("fig4b").expect("write results");
+    bench_support::figures::figure("fig4b").expect("registered figure").save_from_env();
 }

@@ -1,7 +1,4 @@
 //! Regenerates the paper's Fig. 5 (see `bench_support::figures::fig5`).
-use bench_support::{figures, BenchScale};
-
 fn main() {
-    let scale = BenchScale::from_env();
-    figures::fig5::run(scale).save("fig5").expect("write results");
+    bench_support::figures::figure("fig5").expect("registered figure").save_from_env();
 }

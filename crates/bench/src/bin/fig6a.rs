@@ -1,7 +1,4 @@
 //! Regenerates the paper's Fig. 6(a) — Montage weak scaling.
-use bench_support::{figures, BenchScale};
-
 fn main() {
-    let scale = BenchScale::from_env();
-    figures::fig6::run_montage(scale).save("fig6a").expect("write results");
+    bench_support::figures::figure("fig6a").expect("registered figure").save_from_env();
 }

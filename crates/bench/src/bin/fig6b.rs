@@ -1,7 +1,4 @@
 //! Regenerates the paper's Fig. 6(b) — WRF strong scaling.
-use bench_support::{figures, BenchScale};
-
 fn main() {
-    let scale = BenchScale::from_env();
-    figures::fig6::run_wrf(scale).save("fig6b").expect("write results");
+    bench_support::figures::figure("fig6b").expect("registered figure").save_from_env();
 }

@@ -7,9 +7,9 @@
 //! ```
 //!
 //! Exit codes: `0` match, `1` differences found (each printed as a
-//! `DIFF ...` line), `2` usage / IO / parse errors. `scripts/verify.sh`
-//! runs this against the committed golden baselines in
-//! `crates/bench/tests/golden/`.
+//! `DIFF ...` line), `2` usage / IO / parse errors. The golden-trace suite
+//! prints the same verdict when a fresh report diverges from its baseline
+//! in `crates/bench/tests/golden/`; this binary compares any two reports.
 
 use bench_support::obsdiff::{self, DiffOptions};
 

@@ -13,9 +13,9 @@
 //! `PREFIX.obs.json` (the merged ObsReport) and `PREFIX.timeline.txt`;
 //! with `--format perfetto` it additionally writes `PREFIX.perfetto.json`.
 //! All outputs are byte-identical across repeated runs and for any
-//! `HFETCH_BENCH_THREADS` — `scripts/verify.sh` runs this twice and diffs
-//! the artifacts to pin that. Scale comes from `HFETCH_BENCH_SCALE` as
-//! usual. Any unwritable output exits with code 2.
+//! `HFETCH_BENCH_THREADS` (the golden-trace and obs-gate suites pin that).
+//! Scale comes from `HFETCH_BENCH_SCALE` as usual. A figure without traced
+//! cells, a usage error or an unwritable output exits with code 2.
 
 const USAGE: &str =
     "usage: trace <fig3b|fig5|fig6a|fig6b> [--out PREFIX] [--format timeline|perfetto]";

@@ -20,7 +20,7 @@ use tiers::ids::{AppId, FileId, ProcessId};
 use tiers::topology::Hierarchy;
 use tiers::units::{fmt_bytes, gib, MIB};
 
-use crate::figures::run_sim;
+use crate::figures::{run_sim, Cell, Grid};
 use crate::scale::BenchScale;
 use crate::table::Table;
 
@@ -83,57 +83,9 @@ fn scale_params(scale: BenchScale) -> (u32, u64) {
     }
 }
 
-/// The figure's nine HFetch cells (3 sensitivities × 3 workloads) as
-/// labeled [`crate::trace::TraceJob`]s for the decision-trace harness.
-/// Same parameters as [`run_with_threads`]; the recorder is threaded into
-/// both the policy and the simulator so one artifact holds the whole cell.
-pub fn hfetch_trace_cells(scale: BenchScale) -> Vec<(String, crate::trace::TraceJob)> {
-    let (ranks, per_rank) = scale_params(scale);
-    let bursts = 4;
-    let nodes = scale.nodes(ranks);
-    let burst_total = per_rank * ranks as u64;
-    let burst_io_secs = burst_total as f64 / (2.34 * gib(1) as f64);
-    let mut cells = Vec::new();
-    for (sens_name, reactiveness) in sensitivities() {
-        for (wl_name, compute) in workloads(burst_io_secs) {
-            let wl_short = wl_name.split_whitespace().next().unwrap_or(wl_name);
-            let label = format!("fig3b/{sens_name}/{wl_short}");
-            cells.push((
-                label,
-                crate::trace::trace_job(move |rec: obs::Recorder| {
-                    let (files, scripts) = burst_workload(ranks, bursts, per_rank, compute);
-                    let hierarchy = Hierarchy::with_budgets(
-                        burst_total / 2,
-                        burst_total / 2,
-                        burst_total,
-                    );
-                    let cfg = HFetchConfig {
-                        reactiveness,
-                        max_inflight_fetches: 64,
-                        obs: rec.clone(),
-                        ..Default::default()
-                    };
-                    let policy = HFetchPolicy::new(cfg, &hierarchy);
-                    crate::figures::run_sim_obs(hierarchy, nodes, files, scripts, policy, rec)
-                }),
-            ));
-        }
-    }
-    cells
-}
-
-/// Regenerates Fig. 3(b) with the thread count from the environment.
-pub fn run(scale: BenchScale) -> Table {
-    run_with_threads(scale, crate::runner::threads_from_env())
-}
-
-/// Regenerates Fig. 3(b): 3 sensitivities × 3 workloads, fanned across
-/// `threads` workers. Output is identical for any thread count.
-pub fn run_with_threads(scale: BenchScale, threads: usize) -> Table {
-    let mut table = Table::new(
-        format!("Fig 3(b): engine reactiveness, {}", scale.label()),
-        &["sensitivity", "workload", "time (s)", "read time (s)", "p99 read", "hit %", "moved"],
-    );
+/// Fig. 3(b): 3 sensitivities × 3 workloads, every cell an HFetch run
+/// traced as `fig3b/{sensitivity}/{workload}`.
+pub fn grid(scale: BenchScale) -> Grid {
     let (ranks, per_rank) = scale_params(scale);
     let bursts = 4;
     let nodes = scale.nodes(ranks);
@@ -141,10 +93,12 @@ pub fn run_with_threads(scale: BenchScale, threads: usize) -> Table {
     let burst_total = per_rank * ranks as u64;
     let burst_io_secs = burst_total as f64 / (2.34 * gib(1) as f64);
 
-    let mut cells: Vec<crate::figures::SimCell> = Vec::new();
-    for (_sens_name, reactiveness) in sensitivities() {
-        for (_wl_name, compute) in workloads(burst_io_secs) {
-            cells.push(crate::figures::sim_cell(move || {
+    let (mut cells, mut rows) = (Vec::new(), Vec::new());
+    for (sens_name, reactiveness) in sensitivities() {
+        for (wl_name, compute) in workloads(burst_io_secs) {
+            rows.push((sens_name, wl_name));
+            let wl_short = wl_name.split_whitespace().next().unwrap_or(wl_name);
+            cells.push(Cell::traced(format!("fig3b/{sens_name}/{wl_short}"), move |rec| {
                 let (files, scripts) = burst_workload(ranks, bursts, per_rank, compute);
                 // The cache holds two of the four bursts, so the engine
                 // must keep turning segments over as the working set
@@ -158,19 +112,21 @@ pub fn run_with_threads(scale: BenchScale, threads: usize) -> Table {
                 let cfg = HFetchConfig {
                     reactiveness,
                     max_inflight_fetches: 64,
+                    obs: rec.clone(),
                     ..Default::default()
                 };
                 let policy = HFetchPolicy::new(cfg, &hierarchy);
-                run_sim(hierarchy, nodes, files, scripts, policy)
+                run_sim(hierarchy, nodes, files, scripts, policy, rec)
             }));
         }
     }
-    let reports = crate::runner::run_jobs(cells, threads);
 
-    let mut next = reports.iter();
-    for (sens_name, _reactiveness) in sensitivities() {
-        for (wl_name, _compute) in workloads(burst_io_secs) {
-            let report = next.next().expect("one report per cell");
+    Grid::new(cells, move |reports| {
+        let mut table = Table::new(
+            format!("Fig 3(b): engine reactiveness, {}", scale.label()),
+            &["sensitivity", "workload", "time (s)", "read time (s)", "p99 read", "hit %", "moved"],
+        );
+        for ((sens_name, wl_name), report) in rows.into_iter().zip(reports) {
             table.row(vec![
                 sens_name.to_string(),
                 wl_name.to_string(),
@@ -181,14 +137,14 @@ pub fn run_with_threads(scale: BenchScale, threads: usize) -> Table {
                 fmt_bytes(report.prefetch_bytes),
             ]);
         }
-    }
-    table.note(format!(
-        "{ranks} ranks x {bursts} bursts of {} each (1 MiB requests)",
-        fmt_bytes(burst_total)
-    ));
-    table.note("paper shape: high sensitivity = best hit ratio but extra movement latency; \
-                w3 (compute-heavy) performs best across sensitivities; medium best for w2/w3");
-    table
+        table.note(format!(
+            "{ranks} ranks x {bursts} bursts of {} each (1 MiB requests)",
+            fmt_bytes(burst_total)
+        ));
+        table.note("paper shape: high sensitivity = best hit ratio but extra movement latency; \
+                    w3 (compute-heavy) performs best across sensitivities; medium best for w2/w3");
+        table
+    })
 }
 
 #[cfg(test)]

@@ -20,7 +20,7 @@ use tiers::ids::{AppId, FileId, ProcessId, TierId};
 use tiers::topology::Hierarchy;
 use tiers::units::fmt_bytes;
 
-use crate::figures::{overlap_compute, run_sim};
+use crate::figures::{overlap_compute, run_sim, Cell, Grid};
 use crate::scale::BenchScale;
 use crate::table::{pct_vs, Table};
 
@@ -49,18 +49,8 @@ pub fn workload(ranks: u32, total: u64, steps: u32) -> (Vec<SimFile>, Vec<RankSc
     (files, scripts, request)
 }
 
-/// Regenerates Fig. 4(a) with the thread count from the environment.
-pub fn run(scale: BenchScale) -> Table {
-    run_with_threads(scale, crate::runner::threads_from_env())
-}
-
-/// Regenerates Fig. 4(a), fanning the four system cells across `threads`
-/// workers. Output is identical for any thread count.
-pub fn run_with_threads(scale: BenchScale, threads: usize) -> Table {
-    let mut table = Table::new(
-        format!("Fig 4(a): reducing RAM footprint, {}", scale.label()),
-        &["system", "time (s)", "vs parallel", "hit %", "RAM peak", "prefetched"],
-    );
+/// Fig. 4(a): the four systems at the largest scale, none traced.
+pub fn grid(scale: BenchScale) -> Grid {
     let ranks = scale.max_ranks();
     let nodes = scale.nodes(ranks);
     let total = scale.fig4a_data();
@@ -78,84 +68,73 @@ pub fn run_with_threads(scale: BenchScale, threads: usize) -> Table {
     let (files, scripts, request) = workload(ranks, total, steps);
     let depth = 4;
 
-    let cells: Vec<crate::figures::SimCell> = vec![
-        crate::figures::sim_cell({
+    let cells = vec![
+        Cell::new({
             let (flat, files, scripts) = (flat.clone(), files.clone(), scripts.clone());
-            move || {
-                run_sim(
-                    flat,
-                    nodes,
-                    files,
-                    scripts,
-                    ParallelPrefetcher::new(parallel_inflight, depth, request, TierId(0)),
-                )
+            move |rec| {
+                let policy = ParallelPrefetcher::new(parallel_inflight, depth, request, TierId(0));
+                run_sim(flat, nodes, files, scripts, policy, rec)
             }
         }),
-        crate::figures::sim_cell({
+        Cell::new({
             let (files, scripts) = (files.clone(), scripts.clone());
-            move || {
+            move |rec| {
                 let hier = Hierarchy::with_budgets(ram, nvme, bb);
-                run_sim(
-                    hier.clone(),
-                    nodes,
-                    files,
-                    scripts,
-                    HFetchPolicy::new(
-                        HFetchConfig {
-                            max_inflight_fetches: (nodes as usize) * 4,
-                            ..Default::default()
-                        },
-                        &hier,
-                    ),
-                )
+                let cfg = HFetchConfig {
+                    max_inflight_fetches: (nodes as usize) * 4,
+                    obs: rec.clone(),
+                    ..Default::default()
+                };
+                let policy = HFetchPolicy::new(cfg, &hier);
+                run_sim(hier, nodes, files, scripts, policy, rec)
             }
         }),
         // "Serial" = one outstanding fetch per 8-node group (a per-group
         // serial service; a single global stream would be invisible at
         // cluster scale).
-        crate::figures::sim_cell({
+        Cell::new({
             let (flat, files, scripts) = (flat.clone(), files.clone(), scripts.clone());
-            move || {
-                run_sim(
-                    flat,
-                    nodes,
-                    files,
-                    scripts,
-                    baselines::window::WindowPrefetcher::new(
-                        "serial",
-                        serial_inflight,
-                        depth,
-                        request,
-                        TierId(0),
-                    ),
-                )
+            move |rec| {
+                let policy = baselines::window::WindowPrefetcher::new(
+                    "serial",
+                    serial_inflight,
+                    depth,
+                    request,
+                    TierId(0),
+                );
+                run_sim(flat, nodes, files, scripts, policy, rec)
             }
         }),
-        crate::figures::sim_cell(move || run_sim(flat, nodes, files, scripts, NoPrefetch)),
+        Cell::new(move |rec| run_sim(flat, nodes, files, scripts, NoPrefetch, rec)),
     ];
-    let reports = crate::runner::run_jobs(cells, threads);
 
-    let base = reports[0].seconds();
-    for report in &reports {
-        table.row(vec![
-            report.policy.clone(),
-            format!("{:.3}", report.seconds()),
-            pct_vs(report.seconds(), base),
-            format!("{:.1}", report.hit_ratio().unwrap_or(0.0) * 100.0),
-            fmt_bytes(report.tiers[0].peak_bytes),
-            fmt_bytes(report.prefetch_bytes),
-        ]);
-    }
-    table.note(format!(
-        "{ranks} ranks, {} total in {steps} steps; HFetch cache {} RAM + {} NVMe + {} BB vs {} RAM for the flat prefetchers",
-        fmt_bytes(total),
-        fmt_bytes(ram),
-        fmt_bytes(nvme),
-        fmt_bytes(bb),
-        fmt_bytes(total),
-    ));
-    table.note("paper shape: parallel < HFetch (+17%) < serial (HFetch 44% faster) < none; HFetch RAM peak ~8x smaller");
-    table
+    Grid::new(cells, move |reports| {
+        let mut table = Table::new(
+            format!("Fig 4(a): reducing RAM footprint, {}", scale.label()),
+            &["system", "time (s)", "vs parallel", "hit %", "RAM peak", "prefetched"],
+        );
+        let base = reports[0].seconds();
+        for report in reports {
+            table.row(vec![
+                report.policy.clone(),
+                format!("{:.3}", report.seconds()),
+                pct_vs(report.seconds(), base),
+                format!("{:.1}", report.hit_ratio().unwrap_or(0.0) * 100.0),
+                fmt_bytes(report.tiers[0].peak_bytes),
+                fmt_bytes(report.prefetch_bytes),
+            ]);
+        }
+        table.note(format!(
+            "{ranks} ranks, {} total in {steps} steps; HFetch cache {} RAM + {} NVMe + {} BB vs {} RAM for the flat prefetchers",
+            fmt_bytes(total),
+            fmt_bytes(ram),
+            fmt_bytes(nvme),
+            fmt_bytes(bb),
+            fmt_bytes(total),
+        ));
+        table.note("paper shape: parallel < HFetch (+17%) < serial (HFetch 44% faster) < none; HFetch RAM peak ~8x smaller");
+        table
+    })
 }
 
 #[cfg(test)]

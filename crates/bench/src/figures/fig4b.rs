@@ -25,7 +25,7 @@ use tiers::ids::{AppId, FileId, ProcessId};
 use tiers::topology::Hierarchy;
 use tiers::units::{fmt_bytes, MIB};
 
-use crate::figures::{overlap_compute, run_sim};
+use crate::figures::{overlap_compute, run_sim, Cell, Grid};
 use crate::scale::BenchScale;
 use crate::table::Table;
 
@@ -56,23 +56,12 @@ pub fn workload(ranks: u32) -> (Vec<SimFile>, Vec<RankScript>) {
     (files, scripts)
 }
 
-/// Regenerates Fig. 4(b) with the thread count from the environment.
-pub fn run(scale: BenchScale) -> Table {
-    run_with_threads(scale, crate::runner::threads_from_env())
-}
-
-/// Regenerates Fig. 4(b): 4 systems × the rank ladder, fanned across
-/// `threads` workers. Output is identical for any thread count.
-pub fn run_with_threads(scale: BenchScale, threads: usize) -> Table {
-    let mut table = Table::new(
-        format!("Fig 4(b): extending the prefetching cache, {}", scale.label()),
-        &["ranks", "none (s)", "naive (s)", "optimal (s)", "hfetch (s)",
-          "naive hit%", "optimal hit%", "hfetch hit%"],
-    );
+/// Fig. 4(b): 4 systems × the rank ladder, none traced.
+pub fn grid(scale: BenchScale) -> Grid {
     let (ram, nvme, bb) = scale.fig4a_hfetch_budgets();
     let block = MIB; // in-memory prefetchers work in 1 MiB blocks
 
-    let mut cells: Vec<crate::figures::SimCell> = Vec::new();
+    let mut cells = Vec::new();
     for ranks in scale.rank_ladder() {
         let nodes = scale.nodes(ranks);
         let (files, scripts) = workload(ranks);
@@ -82,73 +71,66 @@ pub fn run_with_threads(scale: BenchScale, threads: usize) -> Table {
         let hfetch_inflight = ((nodes as usize) * 4).max(32);
         let naive_inflight = ((ranks as usize) * 2).min(512);
 
-        cells.push(crate::figures::sim_cell({
+        cells.push(Cell::new({
             let (files, scripts) = (files.clone(), scripts.clone());
-            move || run_sim(Hierarchy::ram_only(ram), nodes, files, scripts, NoPrefetch)
+            move |rec| run_sim(Hierarchy::ram_only(ram), nodes, files, scripts, NoPrefetch, rec)
         }));
-        cells.push(crate::figures::sim_cell({
+        cells.push(Cell::new({
             let (files, scripts) = (files.clone(), scripts.clone());
-            move || {
-                run_sim(
-                    Hierarchy::ram_only(ram),
-                    nodes,
-                    files,
-                    scripts,
-                    InMemoryNaive::new(8, block, naive_inflight),
-                )
+            move |rec| {
+                let policy = InMemoryNaive::new(8, block, naive_inflight);
+                run_sim(Hierarchy::ram_only(ram), nodes, files, scripts, policy, rec)
             }
         }));
-        cells.push(crate::figures::sim_cell({
+        cells.push(Cell::new({
             let (files, scripts) = (files.clone(), scripts.clone());
-            move || {
-                run_sim(
-                    Hierarchy::ram_only(ram),
-                    nodes,
-                    files,
-                    scripts,
-                    InMemoryOptimal::new(ram, ranks, 4, block, 2),
-                )
+            move |rec| {
+                let policy = InMemoryOptimal::new(ram, ranks, 4, block, 2);
+                run_sim(Hierarchy::ram_only(ram), nodes, files, scripts, policy, rec)
             }
         }));
-        cells.push(crate::figures::sim_cell(move || {
+        cells.push(Cell::new(move |rec| {
             let hier = Hierarchy::with_budgets(ram, nvme, bb);
-            run_sim(
-                hier.clone(),
-                nodes,
-                files,
-                scripts,
-                HFetchPolicy::new(
-                    HFetchConfig { max_inflight_fetches: hfetch_inflight, ..Default::default() },
-                    &hier,
-                ),
-            )
+            let cfg = HFetchConfig {
+                max_inflight_fetches: hfetch_inflight,
+                obs: rec.clone(),
+                ..Default::default()
+            };
+            let policy = HFetchPolicy::new(cfg, &hier);
+            run_sim(hier, nodes, files, scripts, policy, rec)
         }));
     }
-    let reports = crate::runner::run_jobs(cells, threads);
 
-    for (ranks, point) in scale.rank_ladder().into_iter().zip(reports.chunks_exact(4)) {
-        let [none, naive, optimal, hfetch] = point else { unreachable!("chunks of 4") };
-        table.row(vec![
-            ranks.to_string(),
-            format!("{:.3}", none.seconds()),
-            format!("{:.3}", naive.seconds()),
-            format!("{:.3}", optimal.seconds()),
-            format!("{:.3}", hfetch.seconds()),
-            format!("{:.1}", naive.hit_ratio().unwrap_or(0.0) * 100.0),
-            format!("{:.1}", optimal.hit_ratio().unwrap_or(0.0) * 100.0),
-            format!("{:.1}", hfetch.hit_ratio().unwrap_or(0.0) * 100.0),
-        ]);
-    }
-    table.note(format!(
-        "weak scaling, {} per rank in {STEPS} steps; in-memory caches {} RAM; HFetch adds {} NVMe + {} BB",
-        fmt_bytes(PER_RANK),
-        fmt_bytes(ram),
-        fmt_bytes(nvme),
-        fmt_bytes(bb),
-    ));
-    table.note("paper shape: ties at small scale; naive degrades below none at large scale; \
-                HFetch keeps hits via lower tiers (35% over optimal, 50% over none at max)");
-    table
+    Grid::new(cells, move |reports| {
+        let mut table = Table::new(
+            format!("Fig 4(b): extending the prefetching cache, {}", scale.label()),
+            &["ranks", "none (s)", "naive (s)", "optimal (s)", "hfetch (s)",
+              "naive hit%", "optimal hit%", "hfetch hit%"],
+        );
+        for (ranks, point) in scale.rank_ladder().into_iter().zip(reports.chunks_exact(4)) {
+            let [none, naive, optimal, hfetch] = point else { unreachable!("chunks of 4") };
+            table.row(vec![
+                ranks.to_string(),
+                format!("{:.3}", none.seconds()),
+                format!("{:.3}", naive.seconds()),
+                format!("{:.3}", optimal.seconds()),
+                format!("{:.3}", hfetch.seconds()),
+                format!("{:.1}", naive.hit_ratio().unwrap_or(0.0) * 100.0),
+                format!("{:.1}", optimal.hit_ratio().unwrap_or(0.0) * 100.0),
+                format!("{:.1}", hfetch.hit_ratio().unwrap_or(0.0) * 100.0),
+            ]);
+        }
+        table.note(format!(
+            "weak scaling, {} per rank in {STEPS} steps; in-memory caches {} RAM; HFetch adds {} NVMe + {} BB",
+            fmt_bytes(PER_RANK),
+            fmt_bytes(ram),
+            fmt_bytes(nvme),
+            fmt_bytes(bb),
+        ));
+        table.note("paper shape: ties at small scale; naive degrades below none at large scale; \
+                    HFetch keeps hits via lower tiers (35% over optimal, 50% over none at max)");
+        table
+    })
 }
 
 #[cfg(test)]

@@ -23,7 +23,7 @@ use tiers::topology::Hierarchy;
 use tiers::units::{fmt_bytes, mib, MIB};
 use workloads::patterns::{AccessPattern, PatternWorkload};
 
-use crate::figures::run_sim;
+use crate::figures::{run_sim, Cell, Grid};
 use crate::scale::BenchScale;
 use crate::table::Table;
 
@@ -60,113 +60,66 @@ fn pattern_workload(scale: BenchScale, pattern: AccessPattern) -> PatternWorkloa
     }
 }
 
-/// The figure's four HFetch (data-centric) cells — one per access pattern
-/// — as labeled [`crate::trace::TraceJob`]s for the decision-trace
-/// harness. Same parameters as [`run_with_threads`].
-pub fn hfetch_trace_cells(scale: BenchScale) -> Vec<(String, crate::trace::TraceJob)> {
-    let processes = scale.max_ranks();
-    let nodes = scale.nodes(processes);
-    let dataset = dataset_bytes(scale);
-    patterns()
-        .into_iter()
-        .map(|pattern| {
-            let label = format!("fig5/{}", pattern.label());
-            let cell = crate::trace::trace_job(move |rec: obs::Recorder| {
-                let (files, scripts) = pattern_workload(scale, pattern).build();
-                let hier = Hierarchy::ram_nvme(dataset / 4, dataset / 4);
-                let policy = HFetchPolicy::new(
-                    HFetchConfig {
-                        max_inflight_fetches: (nodes as usize) * 4,
-                        obs: rec.clone(),
-                        ..Default::default()
-                    },
-                    &hier,
-                );
-                crate::figures::run_sim_obs(hier, nodes, files, scripts, policy, rec)
-            });
-            (label, cell)
-        })
-        .collect()
-}
-
-/// Regenerates Fig. 5 with the thread count from the environment.
-pub fn run(scale: BenchScale) -> Table {
-    run_with_threads(scale, crate::runner::threads_from_env())
-}
-
-/// Regenerates Fig. 5: 2 systems × 4 patterns, fanned across `threads`
-/// workers. Output is identical for any thread count.
-pub fn run_with_threads(scale: BenchScale, threads: usize) -> Table {
-    let mut table = Table::new(
-        format!("Fig 5: application-centric vs data-centric, {}", scale.label()),
-        &["pattern", "app-centric (s)", "data-centric (s)", "app hit%", "data hit%"],
-    );
+/// Fig. 5: 2 systems × 4 patterns; the HFetch (data-centric) cells are
+/// traced as `fig5/{pattern}`.
+pub fn grid(scale: BenchScale) -> Grid {
     let processes = scale.max_ranks();
     let nodes = scale.nodes(processes);
     let dataset = dataset_bytes(scale);
     // Cache fits "two of four applications": half the shared dataset.
     let app_cache = dataset / 2;
-    // HFetch: one application's load in RAM, one in NVMe.
-    let hfetch_hierarchy = Hierarchy::ram_nvme(dataset / 4, dataset / 4);
+    let inflight = (nodes as usize) * 4;
 
-    let mut cells: Vec<crate::figures::SimCell> = Vec::new();
+    let mut cells = Vec::new();
     for pattern in patterns() {
         let (files, scripts) = pattern_workload(scale, pattern).build();
-
-        cells.push(crate::figures::sim_cell({
+        cells.push(Cell::new({
             let (files, scripts) = (files.clone(), scripts.clone());
-            move || {
-                run_sim(
-                    Hierarchy::ram_only(app_cache),
-                    nodes,
-                    files,
-                    scripts,
-                    AppCentricPrefetcher::new(8, MIB, TierId(0), (nodes as usize) * 4),
-                )
+            move |rec| {
+                let policy = AppCentricPrefetcher::new(8, MIB, TierId(0), inflight);
+                run_sim(Hierarchy::ram_only(app_cache), nodes, files, scripts, policy, rec)
             }
         }));
-        cells.push(crate::figures::sim_cell({
-            let hier = hfetch_hierarchy.clone();
-            move || {
-                run_sim(
-                    hier.clone(),
-                    nodes,
-                    files,
-                    scripts,
-                    HFetchPolicy::new(
-                        HFetchConfig {
-                            max_inflight_fetches: (nodes as usize) * 4,
-                            ..Default::default()
-                        },
-                        &hier,
-                    ),
-                )
-            }
+        cells.push(Cell::traced(format!("fig5/{}", pattern.label()), move |rec| {
+            // HFetch: one application's load in RAM, one in NVMe.
+            let hier = Hierarchy::ram_nvme(dataset / 4, dataset / 4);
+            let cfg = HFetchConfig {
+                max_inflight_fetches: inflight,
+                obs: rec.clone(),
+                ..Default::default()
+            };
+            let policy = HFetchPolicy::new(cfg, &hier);
+            run_sim(hier, nodes, files, scripts, policy, rec)
         }));
     }
-    let reports = crate::runner::run_jobs(cells, threads);
 
-    for (pattern, point) in patterns().into_iter().zip(reports.chunks_exact(2)) {
-        let [app_centric, data_centric] = point else { unreachable!("chunks of 2") };
-        table.row(vec![
-            pattern.label().to_string(),
-            format!("{:.3}", app_centric.seconds()),
-            format!("{:.3}", data_centric.seconds()),
-            format!("{:.1}", app_centric.hit_ratio().unwrap_or(0.0) * 100.0),
-            format!("{:.1}", data_centric.hit_ratio().unwrap_or(0.0) * 100.0),
-        ]);
-    }
-    table.note(format!(
-        "{processes} processes in 4 apps over one {} dataset; app-centric cache {} RAM; \
-         HFetch {} RAM + {} NVMe",
-        fmt_bytes(dataset),
-        fmt_bytes(app_cache),
-        fmt_bytes(dataset / 4),
-        fmt_bytes(dataset / 4),
-    ));
-    table.note("paper shape: data-centric ~26% faster on seq/strided/repetitive with higher hit \
-                ratio; both degrade on irregular, app-centric more");
-    table
+    Grid::new(cells, move |reports| {
+        let mut table = Table::new(
+            format!("Fig 5: application-centric vs data-centric, {}", scale.label()),
+            &["pattern", "app-centric (s)", "data-centric (s)", "app hit%", "data hit%"],
+        );
+        for (pattern, point) in patterns().into_iter().zip(reports.chunks_exact(2)) {
+            let [app_centric, data_centric] = point else { unreachable!("chunks of 2") };
+            table.row(vec![
+                pattern.label().to_string(),
+                format!("{:.3}", app_centric.seconds()),
+                format!("{:.3}", data_centric.seconds()),
+                format!("{:.1}", app_centric.hit_ratio().unwrap_or(0.0) * 100.0),
+                format!("{:.1}", data_centric.hit_ratio().unwrap_or(0.0) * 100.0),
+            ]);
+        }
+        table.note(format!(
+            "{processes} processes in 4 apps over one {} dataset; app-centric cache {} RAM; \
+             HFetch {} RAM + {} NVMe",
+            fmt_bytes(dataset),
+            fmt_bytes(app_cache),
+            fmt_bytes(dataset / 4),
+            fmt_bytes(dataset / 4),
+        ));
+        table.note("paper shape: data-centric ~26% faster on seq/strided/repetitive with higher \
+                    hit ratio; both degrade on irregular, app-centric more");
+        table
+    })
 }
 
 #[cfg(test)]

@@ -27,6 +27,7 @@ use baselines::stacker::StackerLike;
 use hfetch_core::config::HFetchConfig;
 use hfetch_core::policy::HFetchPolicy;
 use sim::policy::NoPrefetch;
+use sim::report::SimReport;
 use sim::script::{RankScript, SimFile};
 use tiers::ids::TierId;
 use tiers::tier::TierSpec;
@@ -35,7 +36,7 @@ use tiers::units::{fmt_bytes, gib, MIB};
 use workloads::montage::MontageWorkflow;
 use workloads::wrf::WrfWorkflow;
 
-use crate::figures::run_sim;
+use crate::figures::{run_sim, Cell, Grid};
 use crate::scale::BenchScale;
 use crate::table::Table;
 
@@ -58,63 +59,51 @@ fn bb_hierarchical(ram: u64, nvme: u64) -> Hierarchy {
         .expect("valid bb-backed hierarchy")
 }
 
-struct ScalePoint {
-    ranks: u32,
-    stacker_s: f64,
-    knowac_read_s: f64,
-    profile_s: f64,
-    hfetch_s: f64,
-    none_s: f64,
-    hfetch_hit: f64,
-}
-
 /// Builds the four system cells of one scale point, in fixed order
-/// `[none, stacker, knowac, hfetch]` (see [`point_from_reports`]).
+/// `[none, stacker, knowac, hfetch]` (see [`render`]); the HFetch cell is
+/// traced as `{figure}/{ranks}ranks`.
 fn point_cells(
+    figure: &str,
     scale: BenchScale,
     ranks: u32,
     files: Vec<SimFile>,
     scripts: Vec<RankScript>,
     (ram, nvme): (u64, u64),
-    block: u64,
     request: u64,
-) -> Vec<crate::figures::SimCell> {
+) -> Vec<Cell> {
     let nodes = scale.nodes(ranks);
+    let block = MIB; // Stacker and KnowAc work in 1 MiB blocks
     let inflight = ((nodes as usize) * 4).max(64);
 
     vec![
-        crate::figures::sim_cell({
+        Cell::new({
             let (files, scripts) = (files.clone(), scripts.clone());
-            move || run_sim(bb_flat(ram), nodes, files, scripts, NoPrefetch)
+            move |rec| run_sim(bb_flat(ram), nodes, files, scripts, NoPrefetch, rec)
         }),
-        crate::figures::sim_cell({
+        Cell::new({
             let (files, scripts) = (files.clone(), scripts.clone());
-            move || {
-                run_sim(
-                    bb_flat(ram),
-                    nodes,
-                    files,
-                    scripts,
-                    StackerLike::new(block, TierId(0), 2, inflight),
-                )
+            move |rec| {
+                let policy = StackerLike::new(block, TierId(0), 2, inflight);
+                run_sim(bb_flat(ram), nodes, files, scripts, policy, rec)
             }
         }),
-        crate::figures::sim_cell({
+        Cell::new({
             let (files, scripts) = (files.clone(), scripts.clone());
-            move || {
+            move |rec| {
                 let policy = KnowAcLike::from_scripts(&scripts, 4, block, TierId(0), inflight);
-                run_sim(bb_flat(ram), nodes, files, scripts, policy)
+                run_sim(bb_flat(ram), nodes, files, scripts, policy, rec)
             }
         }),
-        crate::figures::sim_cell(move || {
+        Cell::traced(format!("{figure}/{ranks}ranks"), move |rec| {
             let hier = bb_hierarchical(ram, nvme);
-            let policy = HFetchPolicy::new(hfetch_cfg(inflight, request), &hier);
-            run_sim(hier, nodes, files, scripts, policy)
+            let cfg = HFetchConfig { obs: rec.clone(), ..hfetch_cfg(inflight, request) };
+            let policy = HFetchPolicy::new(cfg, &hier);
+            run_sim(hier, nodes, files, scripts, policy, rec)
         }),
     ]
 }
 
-/// The HFetch tuning shared by [`point_cells`] and the trace cells.
+/// The HFetch tuning of the workflow cells.
 fn hfetch_cfg(inflight: usize, request: u64) -> HFetchConfig {
     HFetchConfig {
         max_inflight_fetches: inflight,
@@ -137,143 +126,37 @@ fn hfetch_cfg(inflight: usize, request: u64) -> HFetchConfig {
     }
 }
 
-/// One labeled HFetch trace cell (see [`crate::trace`]).
-fn hfetch_trace_cell(
-    scale: BenchScale,
-    ranks: u32,
-    files: Vec<SimFile>,
-    scripts: Vec<RankScript>,
-    (ram, nvme): (u64, u64),
-    request: u64,
-    label: String,
-) -> (String, crate::trace::TraceJob) {
-    let nodes = scale.nodes(ranks);
-    let inflight = ((nodes as usize) * 4).max(64);
-    let cell = crate::trace::trace_job(move |rec: obs::Recorder| {
-        let hier = bb_hierarchical(ram, nvme);
-        let cfg = HFetchConfig { obs: rec.clone(), ..hfetch_cfg(inflight, request) };
-        let policy = HFetchPolicy::new(cfg, &hier);
-        crate::figures::run_sim_obs(hier, nodes, files, scripts, policy, rec)
-    });
-    (label, cell)
-}
-
-/// The Montage (Fig. 6a) HFetch cells across the rank ladder, as labeled
-/// [`crate::trace::TraceJob`]s. Same parameters as
-/// [`run_montage_with_threads`].
-pub fn hfetch_trace_cells_montage(scale: BenchScale) -> Vec<(String, crate::trace::TraceJob)> {
-    let io_per_step = scale.montage_io_per_step();
-    let ram = scale.bytes(gib(3) / 2);
-    let nvme = scale.bytes(gib(2));
-    scale
-        .rank_ladder()
-        .into_iter()
-        .map(|ranks| {
-            let workflow = MontageWorkflow {
-                processes: ranks,
-                io_per_step,
-                time_steps: 16,
-                compute: bb_overlap_compute(io_per_step * ranks as u64),
-                seed: 0x6a,
-            };
-            let (files, scripts) = workflow.build();
-            hfetch_trace_cell(
-                scale,
-                ranks,
-                files,
-                scripts,
-                (ram, nvme),
-                io_per_step,
-                format!("fig6a/{ranks}ranks"),
-            )
-        })
-        .collect()
-}
-
-/// The WRF (Fig. 6b) HFetch cells across the rank ladder, as labeled
-/// [`crate::trace::TraceJob`]s. Same parameters as
-/// [`run_wrf_with_threads`].
-pub fn hfetch_trace_cells_wrf(scale: BenchScale) -> Vec<(String, crate::trace::TraceJob)> {
-    let bytes_per_step = scale.wrf_bytes_per_step();
-    let ram = scale.bytes(gib(5) / 4);
-    let nvme = scale.bytes(gib(2));
-    scale
-        .rank_ladder()
-        .into_iter()
-        .map(|ranks| {
-            let workflow = WrfWorkflow {
-                processes: ranks,
-                bytes_per_step,
-                time_steps: 4,
-                request: 8 * MIB,
-                iterations: 2,
-                compute: bb_overlap_compute(bytes_per_step / 4),
-            };
-            let (files, scripts) = workflow.build();
-            let request = workflow.request;
-            hfetch_trace_cell(
-                scale,
-                ranks,
-                files,
-                scripts,
-                (ram, nvme),
-                request,
-                format!("fig6b/{ranks}ranks"),
-            )
-        })
-        .collect()
-}
-
-/// Assembles a [`ScalePoint`] from the reports of [`point_cells`].
-fn point_from_reports(ranks: u32, reports: &[sim::report::SimReport]) -> ScalePoint {
-    let [none, stacker, knowac, hfetch] = reports else {
-        unreachable!("four cells per scale point")
-    };
-    ScalePoint {
-        ranks,
-        stacker_s: stacker.seconds(),
-        knowac_read_s: knowac.seconds(),
-        // KnowAc's profile run: executing the workload once without
-        // prefetching to record the trace.
-        profile_s: none.seconds(),
-        hfetch_s: hfetch.seconds(),
-        none_s: none.seconds(),
-        hfetch_hit: hfetch.hit_ratio().unwrap_or(0.0),
-    }
-}
-
-fn render(title: String, points: Vec<ScalePoint>, note: &str) -> Table {
+/// Renders one row per rung of the rank ladder from the reports of
+/// [`point_cells`], four per rung.
+fn render(title: String, scale: BenchScale, reports: &[SimReport], note: String) -> Table {
     let mut table = Table::new(
         title,
         &["ranks", "stacker (s)", "knowac read (s)", "knowac+profile (s)", "hfetch (s)",
           "none (s)", "hfetch hit%"],
     );
-    for p in points {
+    for (ranks, point) in scale.rank_ladder().into_iter().zip(reports.chunks_exact(4)) {
+        let [none, stacker, knowac, hfetch] = point else { unreachable!("chunks of 4") };
+        // KnowAc's profile run: executing the workload once without
+        // prefetching to record the trace.
+        let profile_s = none.seconds();
         table.row(vec![
-            p.ranks.to_string(),
-            format!("{:.3}", p.stacker_s),
-            format!("{:.3}", p.knowac_read_s),
-            format!("{:.3}", p.knowac_read_s + p.profile_s),
-            format!("{:.3}", p.hfetch_s),
-            format!("{:.3}", p.none_s),
-            format!("{:.1}", p.hfetch_hit * 100.0),
+            ranks.to_string(),
+            format!("{:.3}", stacker.seconds()),
+            format!("{:.3}", knowac.seconds()),
+            format!("{:.3}", knowac.seconds() + profile_s),
+            format!("{:.3}", hfetch.seconds()),
+            format!("{:.3}", none.seconds()),
+            format!("{:.1}", hfetch.hit_ratio().unwrap_or(0.0) * 100.0),
         ]);
     }
-    table.note(note.to_string());
+    table.note(note);
     table.note("paper shape: knowac best read time but worst once profile cost is added; \
                 hfetch best end-to-end (5-25% over stacker, 10-30% over knowac+profile)");
     table
 }
 
-/// Regenerates Fig. 6(a) with the thread count from the environment.
-pub fn run_montage(scale: BenchScale) -> Table {
-    run_montage_with_threads(scale, crate::runner::threads_from_env())
-}
-
-/// Regenerates Fig. 6(a) — Montage, weak scaling: 4 systems × the rank
-/// ladder, fanned across `threads` workers. Output is identical for any
-/// thread count.
-pub fn run_montage_with_threads(scale: BenchScale, threads: usize) -> Table {
+/// Fig. 6(a) — Montage, weak scaling: 4 systems × the rank ladder.
+pub fn montage_grid(scale: BenchScale) -> Grid {
     let io_per_step = scale.montage_io_per_step();
     let ram = scale.bytes(gib(3) / 2);
     let nvme = scale.bytes(gib(2));
@@ -287,36 +170,27 @@ pub fn run_montage_with_threads(scale: BenchScale, threads: usize) -> Table {
             seed: 0x6a,
         };
         let (files, scripts) = workflow.build();
-        cells.extend(point_cells(scale, ranks, files, scripts, (ram, nvme), MIB, io_per_step));
+        cells.extend(point_cells(
+            "fig6a", scale, ranks, files, scripts, (ram, nvme), io_per_step,
+        ));
     }
-    let reports = crate::runner::run_jobs(cells, threads);
-    let points = scale
-        .rank_ladder()
-        .into_iter()
-        .zip(reports.chunks_exact(4))
-        .map(|(ranks, point)| point_from_reports(ranks, point))
-        .collect();
-    render(
-        format!("Fig 6(a): Montage weak scaling, {}", scale.label()),
-        points,
-        &format!(
-            "{} I/O per process-step x 16 steps; cache {} RAM (+{} NVMe for HFetch); data staged in burst buffers",
-            fmt_bytes(io_per_step),
-            fmt_bytes(ram),
-            fmt_bytes(nvme),
-        ),
-    )
+    Grid::new(cells, move |reports| {
+        render(
+            format!("Fig 6(a): Montage weak scaling, {}", scale.label()),
+            scale,
+            reports,
+            format!(
+                "{} I/O per process-step x 16 steps; cache {} RAM (+{} NVMe for HFetch); data staged in burst buffers",
+                fmt_bytes(io_per_step),
+                fmt_bytes(ram),
+                fmt_bytes(nvme),
+            ),
+        )
+    })
 }
 
-/// Regenerates Fig. 6(b) with the thread count from the environment.
-pub fn run_wrf(scale: BenchScale) -> Table {
-    run_wrf_with_threads(scale, crate::runner::threads_from_env())
-}
-
-/// Regenerates Fig. 6(b) — WRF, strong scaling: 4 systems × the rank
-/// ladder, fanned across `threads` workers. Output is identical for any
-/// thread count.
-pub fn run_wrf_with_threads(scale: BenchScale, threads: usize) -> Table {
+/// Fig. 6(b) — WRF, strong scaling: 4 systems × the rank ladder.
+pub fn wrf_grid(scale: BenchScale) -> Grid {
     let bytes_per_step = scale.wrf_bytes_per_step();
     let ram = scale.bytes(gib(5) / 4);
     let nvme = scale.bytes(gib(2));
@@ -331,25 +205,23 @@ pub fn run_wrf_with_threads(scale: BenchScale, threads: usize) -> Table {
             compute: bb_overlap_compute(bytes_per_step / 4),
         };
         let (files, scripts) = workflow.build();
-        cells.extend(point_cells(scale, ranks, files, scripts, (ram, nvme), MIB, workflow.request));
+        cells.extend(point_cells(
+            "fig6b", scale, ranks, files, scripts, (ram, nvme), workflow.request,
+        ));
     }
-    let reports = crate::runner::run_jobs(cells, threads);
-    let points = scale
-        .rank_ladder()
-        .into_iter()
-        .zip(reports.chunks_exact(4))
-        .map(|(ranks, point)| point_from_reports(ranks, point))
-        .collect();
-    render(
-        format!("Fig 6(b): WRF strong scaling, {}", scale.label()),
-        points,
-        &format!(
-            "{} read per step (fixed total; 8 MB requests); cache {} RAM (+{} NVMe for HFetch); data staged in burst buffers",
-            fmt_bytes(bytes_per_step),
-            fmt_bytes(ram),
-            fmt_bytes(nvme),
-        ),
-    )
+    Grid::new(cells, move |reports| {
+        render(
+            format!("Fig 6(b): WRF strong scaling, {}", scale.label()),
+            scale,
+            reports,
+            format!(
+                "{} read per step (fixed total; 8 MB requests); cache {} RAM (+{} NVMe for HFetch); data staged in burst buffers",
+                fmt_bytes(bytes_per_step),
+                fmt_bytes(ram),
+                fmt_bytes(nvme),
+            ),
+        )
+    })
 }
 
 #[cfg(test)]

@@ -1,11 +1,13 @@
 //! Benchmark harness support: regenerates every figure of the HFetch paper.
 //!
-//! Each `figures::figNN` module reproduces one evaluation figure:
-//! it builds the paper's workload, runs every compared system through the
-//! discrete-event simulator (or, for Fig. 3a, through real threads), and
-//! returns a [`table::Table`] with the same rows/series the paper plots.
-//! Binaries in `src/bin/` are thin wrappers; `all_figures` runs everything
-//! and writes `bench_results/`.
+//! Each `figures::figNN` module reproduces one evaluation figure: it
+//! builds the paper's workload as one grid of simulation cells (every
+//! compared system × workload point) plus the renderer of the figure's
+//! [`table::Table`], with the same rows/series the paper plots. Fig. 3a
+//! instead measures real threads. The registry [`figures::FIGURES`] names
+//! every figure: the `figNN` binaries and `all_figures` (which writes
+//! `bench_results/`) regenerate tables from it, and [`trace`] runs the
+//! HFetch cells of the same grids with observability on.
 //!
 //! Absolute numbers come from the simulated testbed; the reproduction
 //! target is the *shape* — who wins, by roughly what factor, where

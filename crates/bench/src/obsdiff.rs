@@ -1,4 +1,5 @@
-//! ObsReport comparison: the regression gate behind `--bin obs_diff`.
+//! ObsReport comparison: the explainer behind `--bin obs_diff` and the
+//! golden-trace suite.
 //!
 //! Compares two ObsReport JSON documents (as written by
 //! `obs::ObsReport::to_json`) under the tolerance rules of DESIGN.md
@@ -15,9 +16,11 @@
 //!   behavioural contract,
 //! * a key present on one side only is always a difference.
 //!
-//! `scripts/verify.sh` runs this against the committed golden baselines
-//! (`crates/bench/tests/golden/*.obs.json`); `HFETCH_BLESS=1` on the
-//! golden-trace suite re-blesses them after an intended change.
+//! The golden-trace suite requires its ObsReports to match the committed
+//! baselines (`crates/bench/tests/golden/*.obs.json`) byte for byte; when
+//! one diverges, it prints this comparison's verdict to say which keys
+//! moved. `HFETCH_BLESS=1` on that suite re-blesses the baselines after an
+//! intended change.
 
 use std::fmt::Write as _;
 

@@ -1,5 +1,6 @@
-//! Decision-trace harness: re-runs a figure's HFetch cells with an
-//! enabled [`obs::Recorder`] per cell and renders the result three ways:
+//! Decision-trace harness: runs the labeled (HFetch) cells of a figure's
+//! grid — the same cells its table reports (see [`crate::figures`]) — with
+//! an enabled [`obs::Recorder`] per cell and renders the result three ways:
 //!
 //! * a **JSONL decision trace** — every placement decision, epoch bracket
 //!   and cell marker, in simulation order (`obs::TraceEvent` lines),
@@ -17,23 +18,17 @@
 
 use std::collections::BTreeMap;
 
-use sim::report::SimReport;
-
 use crate::scale::BenchScale;
 
-/// One traced cell body: receives the cell's recorder (already carrying
-/// the cell marker) and runs the simulation with it threaded through both
-/// the simulator config and the policy.
-pub type TraceJob = Box<dyn FnOnce(obs::Recorder) -> SimReport + Send>;
-
-/// Boxes a traced-cell closure as a [`TraceJob`].
-pub fn trace_job(f: impl FnOnce(obs::Recorder) -> SimReport + Send + 'static) -> TraceJob {
-    Box::new(f)
-}
-
-/// The figure scenarios `run` accepts.
-pub fn figures() -> &'static [&'static str] {
-    &["fig3b", "fig5", "fig6a", "fig6b"]
+/// The registered figures that carry traced cells, in registry order.
+/// Which cells are labeled does not depend on scale, so the smoke-scale
+/// grids answer for every scale.
+pub fn figures() -> Vec<&'static str> {
+    crate::figures::FIGURES
+        .iter()
+        .filter(|f| !f.traced_cells(BenchScale::Smoke).is_empty())
+        .map(|f| f.name)
+        .collect()
 }
 
 /// The rendered artifacts of one traced figure run.
@@ -53,26 +48,24 @@ pub struct TraceOutcome {
     pub cells: Vec<(String, Vec<obs::TraceEvent>)>,
 }
 
-/// Runs the HFetch cells of `figure` at `scale` across `threads` workers
-/// and renders the trace artifacts. Returns `None` for an unknown figure
-/// (see [`figures`]).
+/// Runs the labeled (HFetch) cells of `figure` at `scale` across
+/// `threads` workers, one enabled recorder per cell, and renders the trace
+/// artifacts. Returns `None` for a figure that is unknown or has no traced
+/// cells (see [`figures`]).
 pub fn run(figure: &str, scale: BenchScale, threads: usize) -> Option<TraceOutcome> {
-    let cells: Vec<(String, TraceJob)> = match figure {
-        "fig3b" => crate::figures::fig3b::hfetch_trace_cells(scale),
-        "fig5" => crate::figures::fig5::hfetch_trace_cells(scale),
-        "fig6a" => crate::figures::fig6::hfetch_trace_cells_montage(scale),
-        "fig6b" => crate::figures::fig6::hfetch_trace_cells_wrf(scale),
-        _ => return None,
-    };
+    let cells = crate::figures::figure(figure)?.traced_cells(scale);
+    if cells.is_empty() {
+        return None;
+    }
     let mut labels = Vec::with_capacity(cells.len());
     let mut recorders = Vec::with_capacity(cells.len());
-    let mut jobs: Vec<crate::runner::Job<SimReport>> = Vec::with_capacity(cells.len());
+    let mut jobs = Vec::with_capacity(cells.len());
     for (label, cell) in cells {
         let rec = obs::Recorder::enabled();
         rec.trace_event(obs::TraceEvent::Marker(label.clone()));
         labels.push(label);
         recorders.push(rec.clone());
-        jobs.push(crate::runner::job(move || cell(rec)));
+        jobs.push(crate::runner::job(move || cell.run(rec)));
     }
     let _reports = crate::runner::run_jobs(jobs, threads);
 
@@ -166,6 +159,12 @@ mod tests {
     #[test]
     fn unknown_figure_is_none() {
         assert!(run("fig9", BenchScale::Smoke, 1).is_none());
+        assert!(run("fig4a", BenchScale::Smoke, 1).is_none());
+    }
+
+    #[test]
+    fn traced_figures_are_the_golden_set() {
+        assert_eq!(figures(), ["fig3b", "fig5", "fig6a", "fig6b"]);
     }
 
     #[test]

@@ -11,22 +11,31 @@
 //! ```
 //!
 //! then review the `crates/bench/tests/golden/` diff like any other code
-//! change before committing it. The traces are thread-count invariant
-//! (per-cell recorders, submission-order merge), so blessing and checking
-//! may run at different `HFETCH_BENCH_THREADS`.
+//! change before committing it. Every figure is checked at 1 and at 4
+//! worker threads: the traces are thread-count invariant (per-cell
+//! recorders, submission-order merge). A diverged ObsReport also prints
+//! the `obsdiff` verdict, naming the counters, gauges and histograms that
+//! moved.
+//!
+//! The traced cells are the HFetch cells of the figure tables themselves
+//! (one grid per figure), and tracing must not perturb them: the last test
+//! runs each traced cell with obs off and on and compares the reports, so
+//! the goldens (recorded with obs on) pin the tables (run with obs off).
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use bench_support::{trace, BenchScale};
+use bench_support::obsdiff::{self, DiffOptions};
+use bench_support::{figures, json, trace, BenchScale};
 
 fn golden_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests").join("golden")
 }
 
-/// Compares `got` against the golden file, reporting the first divergent
-/// line instead of dumping both multi-kilobyte strings.
-fn assert_matches_golden(name: &str, got: &str) {
+/// Compares `got` against the golden file. A divergence is described by
+/// its first differing line instead of both multi-kilobyte strings, plus
+/// the `obsdiff` verdict for an ObsReport.
+fn golden_divergence(name: &str, got: &str) -> Option<String> {
     let path = golden_dir().join(name);
     let want = fs::read_to_string(&path).unwrap_or_else(|e| {
         panic!(
@@ -36,7 +45,7 @@ fn assert_matches_golden(name: &str, got: &str) {
         )
     });
     if got == want {
-        return;
+        return None;
     }
     let line = got
         .lines()
@@ -45,34 +54,53 @@ fn assert_matches_golden(name: &str, got: &str) {
         .map(|i| i + 1)
         .unwrap_or_else(|| got.lines().count().min(want.lines().count()) + 1);
     let show = |s: &str| s.lines().nth(line - 1).unwrap_or("<eof>").to_string();
-    panic!(
+    let verdict = if name.ends_with(".obs.json") { obs_verdict(&want, got) } else { String::new() };
+    Some(format!(
         "{name} diverged from golden at line {line}\n  got:  {}\n  want: {}\n\
-         ({} vs {} bytes total) — if intended, re-bless with HFETCH_BLESS=1",
+         ({} vs {} bytes total)\n{verdict}",
         show(got),
         show(&want),
         got.len(),
         want.len()
-    );
+    ))
 }
 
-fn check(figure: &str) {
-    let threads = bench_support::runner::threads_from_env();
-    let outcome = trace::run(figure, BenchScale::Smoke, threads).expect("known figure");
-    assert!(outcome.ok, "{figure}: no placement decisions traced");
-    let artifacts = [
-        (format!("{figure}.trace.jsonl"), &outcome.jsonl),
-        (format!("{figure}.obs.json"), &outcome.report),
-        (format!("{figure}.timeline.txt"), &outcome.timeline),
-    ];
-    if std::env::var("HFETCH_BLESS").as_deref() == Ok("1") {
-        fs::create_dir_all(golden_dir()).expect("create golden dir");
-        for (name, content) in &artifacts {
-            fs::write(golden_dir().join(name), content).expect("write golden");
-        }
-        return;
+/// The `obsdiff` verdict of a diverged ObsReport against its golden.
+fn obs_verdict(want: &str, got: &str) -> String {
+    let parsed = json::parse(want).and_then(|w| Ok((w, json::parse(got)?)));
+    match parsed.and_then(|(w, g)| obsdiff::diff(&w, &g, DiffOptions::default())) {
+        Ok(diff) => obsdiff::render_report(&diff),
+        Err(e) => format!("obs-diff: cannot compare: {e}\n"),
     }
-    for (name, content) in &artifacts {
-        assert_matches_golden(name, content);
+}
+
+/// Checks `figure`'s artifacts at 1 and at 4 worker threads. Blessing
+/// writes the 1-thread artifacts, then checks the 4-thread run against
+/// them.
+fn check(figure: &str) {
+    let bless = std::env::var("HFETCH_BLESS").as_deref() == Ok("1");
+    for threads in [1, 4] {
+        let outcome = trace::run(figure, BenchScale::Smoke, threads).expect("traced figure");
+        assert!(outcome.ok, "{figure}: no placement decisions traced");
+        let artifacts = [
+            (format!("{figure}.trace.jsonl"), &outcome.jsonl),
+            (format!("{figure}.obs.json"), &outcome.report),
+            (format!("{figure}.timeline.txt"), &outcome.timeline),
+        ];
+        if bless && threads == 1 {
+            fs::create_dir_all(golden_dir()).expect("create golden dir");
+            for (name, content) in &artifacts {
+                fs::write(golden_dir().join(name), content).expect("write golden");
+            }
+            continue;
+        }
+        let divergences: Vec<String> =
+            artifacts.iter().filter_map(|(name, got)| golden_divergence(name, got)).collect();
+        assert!(
+            divergences.is_empty(),
+            "{figure} at {threads} threads:\n{}if intended, re-bless with HFETCH_BLESS=1",
+            divergences.concat()
+        );
     }
 }
 
@@ -94,4 +122,20 @@ fn fig6a_trace_matches_golden() {
 #[test]
 fn fig6b_trace_matches_golden() {
     check("fig6b");
+}
+
+#[test]
+fn traced_cells_report_the_same_with_obs_off_and_on() {
+    for name in trace::figures() {
+        let fig = figures::figure(name).expect("registered figure");
+        let off = fig.traced_cells(BenchScale::Smoke);
+        let on = fig.traced_cells(BenchScale::Smoke);
+        for ((label, off), (_, on)) in off.into_iter().zip(on) {
+            assert_eq!(
+                format!("{:?}", off.run(obs::Recorder::disabled())),
+                format!("{:?}", on.run(obs::Recorder::enabled())),
+                "{label}: enabling the recorder changed the cell's report"
+            );
+        }
+    }
 }

@@ -3,55 +3,40 @@
 //! smoke scale with 1 thread and with several, and the resulting tables
 //! must match cell-for-cell (and therefore byte-for-byte once rendered).
 
-use bench_support::figures::{fig3b, fig4a, fig4b, fig5, fig6};
-use bench_support::{BenchScale, Table};
+use bench_support::figures::figure;
+use bench_support::BenchScale;
 
-fn assert_identical(serial: Table, parallel: Table) {
-    assert_eq!(serial, parallel, "table contents must not depend on thread count");
+fn assert_thread_count_invariant(name: &str, threads: usize) {
+    let fig = figure(name).expect("registered figure");
+    let serial = fig.table(BenchScale::Smoke, 1);
+    let parallel = fig.table(BenchScale::Smoke, threads);
+    assert_eq!(serial, parallel, "{name}: table contents must not depend on thread count");
     assert_eq!(serial.render(), parallel.render());
     assert_eq!(serial.to_csv(), parallel.to_csv());
 }
 
 #[test]
 fn fig4a_output_is_thread_count_invariant() {
-    assert_identical(
-        fig4a::run_with_threads(BenchScale::Smoke, 1),
-        fig4a::run_with_threads(BenchScale::Smoke, 4),
-    );
+    assert_thread_count_invariant("fig4a", 4);
 }
 
 #[test]
 fn fig4b_output_is_thread_count_invariant() {
-    assert_identical(
-        fig4b::run_with_threads(BenchScale::Smoke, 1),
-        fig4b::run_with_threads(BenchScale::Smoke, 8),
-    );
+    assert_thread_count_invariant("fig4b", 8);
 }
 
 #[test]
 fn fig3b_output_is_thread_count_invariant() {
-    assert_identical(
-        fig3b::run_with_threads(BenchScale::Smoke, 1),
-        fig3b::run_with_threads(BenchScale::Smoke, 3),
-    );
+    assert_thread_count_invariant("fig3b", 3);
 }
 
 #[test]
 fn fig5_output_is_thread_count_invariant() {
-    assert_identical(
-        fig5::run_with_threads(BenchScale::Smoke, 1),
-        fig5::run_with_threads(BenchScale::Smoke, 4),
-    );
+    assert_thread_count_invariant("fig5", 4);
 }
 
 #[test]
 fn fig6_output_is_thread_count_invariant() {
-    assert_identical(
-        fig6::run_montage_with_threads(BenchScale::Smoke, 1),
-        fig6::run_montage_with_threads(BenchScale::Smoke, 4),
-    );
-    assert_identical(
-        fig6::run_wrf_with_threads(BenchScale::Smoke, 1),
-        fig6::run_wrf_with_threads(BenchScale::Smoke, 4),
-    );
+    assert_thread_count_invariant("fig6a", 4);
+    assert_thread_count_invariant("fig6b", 4);
 }

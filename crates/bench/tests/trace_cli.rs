@@ -16,6 +16,8 @@ fn trace_bin() -> Command {
 fn trace_usage_errors_exit_2() {
     let out = trace_bin().arg("fig99").output().unwrap();
     assert_eq!(out.status.code(), Some(2), "unknown figure must exit 2");
+    let out = trace_bin().arg("fig4a").output().unwrap();
+    assert_eq!(out.status.code(), Some(2), "a figure without traced cells must exit 2");
     let out = trace_bin().args(["fig5", "--format", "svg"]).output().unwrap();
     assert_eq!(out.status.code(), Some(2), "unknown format must exit 2");
     let out = trace_bin().output().unwrap();

@@ -196,8 +196,8 @@ impl Auditor {
     /// plus the ingestion-contention telemetry: lock acquisitions by
     /// family ([`IngestLockStats`]) and the update queue's level. The
     /// counters are cumulative since construction: export once per run
-    /// (the obs-diff gate watches them for regressions in the ingestion
-    /// path).
+    /// (the golden-trace gate pins them, catching regressions in the
+    /// ingestion path).
     pub fn export_obs(&self) {
         if !self.cfg.obs.is_enabled() {
             return;

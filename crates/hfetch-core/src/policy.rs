@@ -165,7 +165,7 @@ impl PrefetchPolicy for HFetchPolicy {
     fn on_finish(&mut self, _now: Timestamp, _ctl: &mut SimCtl<'_>) {
         // End-of-run telemetry: the auditor's DHT shard counters and the
         // ingestion lock/queue statistics land in the ObsReport, where the
-        // obs-diff gate can watch them. No-op when the recorder is off.
+        // golden-trace gate pins them. No-op when the recorder is off.
         self.auditor.export_obs();
     }
 }
@@ -423,8 +423,7 @@ mod tests {
         let hierarchy = Hierarchy::with_budgets(mib(16), mib(64), mib(256));
         let (files, scripts) = sequential_workload(8, 32, 16, Duration::from_millis(30));
         let rec = obs::Recorder::enabled();
-        let mut cfg = HFetchConfig::default();
-        cfg.obs = rec.clone();
+        let cfg = HFetchConfig { obs: rec.clone(), ..Default::default() };
         let sim_cfg = SimConfig::new(hierarchy.clone()).with_obs(rec.clone());
         let policy = HFetchPolicy::new(cfg, &hierarchy);
         let (report, _) = Simulation::new(sim_cfg, files, scripts, policy).run();
