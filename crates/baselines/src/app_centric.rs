@@ -5,21 +5,22 @@
 //! accordingly" (§IV-A.3). This baseline runs one classic stride detector
 //! *per application*: it watches the application's recent block deltas,
 //! and once a stable stride emerges it prefetches along that stride into a
-//! cache shared by all applications. Because each application optimizes
-//! only for itself, the shared cache suffers the paper's three pathologies:
-//! pollution (one app's readahead evicts another's hot data), redundancy
-//! (two apps chase the same blocks independently), and contention
-//! (uncoordinated prefetch bursts on the PFS).
+//! cache shared by all applications (one [`BlockCache`]). Because each
+//! application optimizes only for itself, the shared cache suffers the
+//! paper's three pathologies: pollution (one app's readahead evicts
+//! another's hot data), redundancy (two apps chase the same blocks
+//! independently), and contention (uncoordinated prefetch bursts on the
+//! PFS).
 
 use std::collections::HashMap;
 
 use sim::engine::SimCtl;
 use sim::policy::{PrefetchPolicy, TransferDone};
-use tiers::ids::{AppId, FileId, ProcessId, TierId};
+use tiers::ids::{AppId, FileId, ProcessId};
 use tiers::range::ByteRange;
 use tiers::time::Timestamp;
 
-use crate::lru::{BlockKey, LruTracker, PendingQueue};
+use crate::lru::{BlockCache, BlockKey};
 
 /// Stride detector state for one application.
 #[derive(Debug, Default)]
@@ -57,59 +58,21 @@ impl AppDetector {
 /// Per-application stride prefetcher over a shared cache.
 pub struct AppCentricPrefetcher {
     depth: u64,
-    block: u64,
-    dst: TierId,
-    max_inflight: usize,
-    inflight: usize,
-    pending: PendingQueue,
-    lru: LruTracker,
+    cache: BlockCache,
     detectors: HashMap<AppId, AppDetector>,
 }
 
 impl AppCentricPrefetcher {
     /// Prefetch `depth` blocks along the detected stride, `block` bytes
-    /// each, into tier `dst`.
-    pub fn new(depth: u64, block: u64, dst: TierId, max_inflight: usize) -> Self {
-        assert!(depth > 0 && block > 0 && max_inflight > 0);
-        Self {
-            depth,
-            block,
-            dst,
-            max_inflight,
-            inflight: 0,
-            pending: PendingQueue::new(),
-            lru: LruTracker::new(),
-            detectors: HashMap::new(),
-        }
+    /// each, at most `max_inflight` outstanding transfers.
+    pub fn new(depth: u64, block: u64, max_inflight: usize) -> Self {
+        assert!(depth > 0);
+        Self { depth, cache: BlockCache::new(block, max_inflight), detectors: HashMap::new() }
     }
 
     /// Number of applications with active detectors.
     pub fn tracked_apps(&self) -> usize {
         self.detectors.len()
-    }
-
-    fn pump(&mut self, ctl: &mut SimCtl<'_>) {
-        while self.inflight < self.max_inflight {
-            let Some(key) = self.pending.pop() else { break };
-            let range = key.range(self.block, ctl.file_size(key.file));
-            if range.is_empty() {
-                continue; // past EOF
-            }
-            if ctl.resident_on(key.file, range, self.dst) {
-                self.lru.touch(key);
-                continue;
-            }
-            while ctl.available(self.dst) < range.len {
-                let Some(victim) = self.lru.pop_coldest() else { break };
-                let vrange = victim.range(self.block, ctl.file_size(victim.file));
-                ctl.discard(victim.file, vrange, self.dst);
-            }
-            let outcome = ctl.fetch(key.file, range, self.dst);
-            if outcome.scheduled > 0 {
-                self.inflight += 1;
-                self.lru.touch(key);
-            }
-        }
     }
 }
 
@@ -127,11 +90,8 @@ impl PrefetchPolicy for AppCentricPrefetcher {
         _now: Timestamp,
         ctl: &mut SimCtl<'_>,
     ) {
-        let block = range.offset / self.block;
-        let key = BlockKey { file, block };
-        if self.lru.contains(&key) {
-            self.lru.touch(key);
-        }
+        let block = range.offset / self.cache.block();
+        self.cache.refresh(BlockKey { file, block });
         let detector = self.detectors.entry(app).or_default();
         if let Some(stride) = detector.observe(file, block) {
             // Prefetch along the application's stride.
@@ -141,18 +101,14 @@ impl PrefetchPolicy for AppCentricPrefetcher {
                 if b < 0 {
                     break;
                 }
-                let key = BlockKey { file, block: b as u64 };
-                if !self.lru.contains(&key) {
-                    self.pending.push(key);
-                }
+                self.cache.request(BlockKey { file, block: b as u64 }, ());
             }
         }
-        self.pump(ctl);
+        self.cache.pump(ctl, |_, _| false, |_| true);
     }
 
     fn on_transfer_done(&mut self, _done: TransferDone, _now: Timestamp, ctl: &mut SimCtl<'_>) {
-        self.inflight = self.inflight.saturating_sub(1);
-        self.pump(ctl);
+        self.cache.landed(ctl, |_, _| false, |_| true);
     }
 }
 
@@ -199,7 +155,7 @@ mod tests {
             b = b.compute(Duration::from_millis(40)).read(FileId(0), i * 4 * MIB, MIB);
         }
         let scripts = vec![b.close(FileId(0)).build()];
-        let p = AppCentricPrefetcher::new(4, MIB, TierId(0), 4);
+        let p = AppCentricPrefetcher::new(4, MIB, 4);
         let (report, policy) =
             Simulation::new(SimConfig::new(h.clone()), files.clone(), scripts.clone(), p).run();
         let (none, _) = Simulation::new(SimConfig::new(h), files, scripts, NoPrefetch).run();
@@ -219,7 +175,7 @@ mod tests {
             b = b.compute(Duration::from_millis(20)).read(FileId(0), o * MIB, MIB);
         }
         let scripts = vec![b.close(FileId(0)).build()];
-        let p = AppCentricPrefetcher::new(4, MIB, TierId(0), 4);
+        let p = AppCentricPrefetcher::new(4, MIB, 4);
         let (report, _) = Simulation::new(SimConfig::new(h), files, scripts, p).run();
         assert!(
             report.hit_ratio().unwrap() < 0.2,
@@ -250,7 +206,7 @@ mod tests {
                     .build()
             })
             .collect();
-        let p = AppCentricPrefetcher::new(8, MIB, TierId(0), 8);
+        let p = AppCentricPrefetcher::new(8, MIB, 8);
         let (report, policy) = Simulation::new(SimConfig::new(h), files, scripts, p).run();
         assert_eq!(policy.tracked_apps(), 2);
         assert!(report.evicted_bytes > 0, "contention must evict");

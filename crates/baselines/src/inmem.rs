@@ -8,21 +8,21 @@
 //!   the RAM budget is partitioned per process; a process's readahead can
 //!   only evict *its own* blocks, so processes never pollute each other.
 //! * [`InMemoryNaive`] — "each process competes for access to the
-//!   prefetching cache": one shared pool, global LRU, every process's
-//!   readahead evicts whoever is coldest — including blocks another
-//!   process is about to read. Under pressure, its prefetch traffic plus
-//!   the refetches it causes make it *slower than no prefetching*, exactly
-//!   as the paper observes.
+//!   prefetching cache": one shared [`BlockCache`], global LRU, every
+//!   process's readahead evicts whoever is coldest — including blocks
+//!   another process is about to read. Under pressure, its prefetch
+//!   traffic plus the refetches it causes make it *slower than no
+//!   prefetching*, exactly as the paper observes.
 
 use std::collections::HashMap;
 
 use sim::engine::SimCtl;
 use sim::policy::{PrefetchPolicy, TransferDone};
-use tiers::ids::{AppId, FileId, ProcessId, TierId};
+use tiers::ids::{AppId, FileId, ProcessId};
 use tiers::range::ByteRange;
 use tiers::time::Timestamp;
 
-use crate::lru::{BlockKey, LruTracker, PendingQueue};
+use crate::lru::{BlockCache, BlockKey, LruTracker, PendingQueue, RAM};
 
 struct ProcState {
     lru: LruTracker,
@@ -53,7 +53,6 @@ pub struct InMemoryOptimal {
     quota: u64,
     depth: u64,
     block: u64,
-    dst: TierId,
     max_inflight: usize,
     procs: HashMap<ProcessId, ProcState>,
     owner: HashMap<BlockKey, ProcessId>,
@@ -79,7 +78,6 @@ impl InMemoryOptimal {
             quota,
             depth,
             block,
-            dst: TierId(0),
             max_inflight,
             procs: HashMap::new(),
             owner: HashMap::new(),
@@ -111,11 +109,11 @@ impl InMemoryOptimal {
             while state.used + range.len > self.quota {
                 let Some(victim) = state.lru.pop_coldest() else { break };
                 let vrange = victim.range(self.block, ctl.file_size(victim.file));
-                let dropped = ctl.discard(victim.file, vrange, self.dst);
+                let dropped = ctl.discard(victim.file, vrange, RAM);
                 state.used = state.used.saturating_sub(dropped.max(vrange.len));
                 self.owner.remove(&victim);
             }
-            let outcome = ctl.fetch(key.file, range, self.dst);
+            let outcome = ctl.fetch(key.file, range, RAM);
             if outcome.scheduled > 0 {
                 state.inflight += 1;
                 state.lru.touch(key);
@@ -176,57 +174,20 @@ impl PrefetchPolicy for InMemoryOptimal {
     }
 }
 
-/// Shared-pool in-memory prefetcher ("in-memory naive").
+/// Shared-pool in-memory prefetcher ("in-memory naive"): global LRU, so
+/// any process's readahead evicts whoever is coldest (cache pollution in
+/// action).
 pub struct InMemoryNaive {
     depth: u64,
-    block: u64,
-    dst: TierId,
-    max_inflight: usize,
-    inflight: usize,
-    pending: PendingQueue,
-    lru: LruTracker,
+    cache: BlockCache,
 }
 
 impl InMemoryNaive {
     /// Readahead `depth` blocks of `block` bytes per read, shared cache,
     /// `max_inflight` total outstanding transfers.
     pub fn new(depth: u64, block: u64, max_inflight: usize) -> Self {
-        assert!(block > 0 && depth > 0 && max_inflight > 0);
-        Self {
-            depth,
-            block,
-            dst: TierId(0),
-            max_inflight,
-            inflight: 0,
-            pending: PendingQueue::new(),
-            lru: LruTracker::new(),
-        }
-    }
-
-    fn pump(&mut self, ctl: &mut SimCtl<'_>) {
-        while self.inflight < self.max_inflight {
-            let Some(key) = self.pending.pop() else { break };
-            let range = key.range(self.block, ctl.file_size(key.file));
-            if range.is_empty() {
-                continue; // past EOF
-            }
-            if ctl.resident_on(key.file, range, self.dst) {
-                self.lru.touch(key);
-                continue;
-            }
-            // Global LRU: evict whoever is coldest, no matter whose
-            // readahead it was (cache pollution in action).
-            while ctl.available(self.dst) < range.len {
-                let Some(victim) = self.lru.pop_coldest() else { break };
-                let vrange = victim.range(self.block, ctl.file_size(victim.file));
-                ctl.discard(victim.file, vrange, self.dst);
-            }
-            let outcome = ctl.fetch(key.file, range, self.dst);
-            if outcome.scheduled > 0 {
-                self.inflight += 1;
-                self.lru.touch(key);
-            }
-        }
+        assert!(depth > 0);
+        Self { depth, cache: BlockCache::new(block, max_inflight) }
     }
 }
 
@@ -244,26 +205,19 @@ impl PrefetchPolicy for InMemoryNaive {
         _now: Timestamp,
         ctl: &mut SimCtl<'_>,
     ) {
-        let first = range.offset / self.block;
-        let last = (range.end().saturating_sub(1)) / self.block;
-        for b in first..=last {
-            let key = BlockKey { file, block: b };
-            if self.lru.contains(&key) {
-                self.lru.touch(key);
-            }
+        let blocks = self.cache.blocks(range);
+        let last = *blocks.end();
+        for block in blocks {
+            self.cache.refresh(BlockKey { file, block });
         }
         for step in 1..=self.depth {
-            let key = BlockKey { file, block: last + step };
-            if !self.lru.contains(&key) {
-                self.pending.push(key);
-            }
+            self.cache.request(BlockKey { file, block: last + step }, ());
         }
-        self.pump(ctl);
+        self.cache.pump(ctl, |_, _| false, |_| true);
     }
 
     fn on_transfer_done(&mut self, _done: TransferDone, _now: Timestamp, ctl: &mut SimCtl<'_>) {
-        self.inflight = self.inflight.saturating_sub(1);
-        self.pump(ctl);
+        self.cache.landed(ctl, |_, _| false, |_| true);
     }
 }
 

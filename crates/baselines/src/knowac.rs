@@ -11,18 +11,20 @@
 //! issues, the prefetcher fetches that process's next `window` recorded
 //! reads into RAM. The harness obtains the trace from the workload scripts
 //! (a perfect profile) and reports the profiling cost alongside, exactly
-//! as the figure does.
+//! as the figure does. Its [`BlockCache`] drops requests whose trace
+//! position the process already replayed, and recycles only blocks the
+//! application has read.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use sim::engine::SimCtl;
 use sim::policy::{PrefetchPolicy, TransferDone};
 use sim::script::{Op, RankScript};
-use tiers::ids::{AppId, FileId, ProcessId, TierId};
+use tiers::ids::{AppId, FileId, ProcessId};
 use tiers::range::ByteRange;
 use tiers::time::Timestamp;
 
-use crate::lru::{BlockKey, LruTracker, PendingQueue};
+use crate::lru::{BlockCache, BlockKey};
 
 /// One recorded access in the profile.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -41,20 +43,30 @@ pub struct KnowAcLike {
     cursor: HashMap<ProcessId, usize>,
     /// How many future accesses to keep prefetched per process.
     window: usize,
-    block: u64,
-    dst: TierId,
-    max_inflight: usize,
-    inflight: usize,
-    pending: PendingQueue<(BlockKey, ProcessId, u32)>,
-    lru: LruTracker,
+    /// Requests are tagged with the process and its trace position.
+    cache: BlockCache<(ProcessId, u32)>,
     /// Blocks that have been read since they were prefetched. Eviction
     /// only recycles consumed blocks: evicting data the application has
     /// not read yet would be pure churn (fetch, evict, refetch), so when
     /// the cache is full of unconsumed prefetches the prefetcher applies
     /// backpressure instead.
-    consumed: std::collections::HashSet<BlockKey>,
+    consumed: HashSet<BlockKey>,
     /// Reads that deviated from the recorded history.
     deviations: u64,
+}
+
+/// The stale rule: the process already replayed past this trace position
+/// — fetching it now would only clog the cache.
+fn replayed(
+    cursor: &HashMap<ProcessId, usize>,
+) -> impl Fn(BlockKey, &(ProcessId, u32)) -> bool + '_ {
+    move |_, (process, pos)| cursor.get(process).copied().unwrap_or(0) > *pos as usize
+}
+
+/// The eviction rule: recycle only blocks the application has already
+/// read (consuming the mark).
+fn read_already(consumed: &mut HashSet<BlockKey>) -> impl FnMut(BlockKey) -> bool + '_ {
+    move |victim| consumed.remove(&victim)
 }
 
 impl KnowAcLike {
@@ -63,21 +75,15 @@ impl KnowAcLike {
         trace: HashMap<ProcessId, Vec<TraceEntry>>,
         window: usize,
         block: u64,
-        dst: TierId,
         max_inflight: usize,
     ) -> Self {
-        assert!(window > 0 && block > 0 && max_inflight > 0);
+        assert!(window > 0);
         Self {
             trace,
             cursor: HashMap::new(),
             window,
-            block,
-            dst,
-            max_inflight,
-            inflight: 0,
-            pending: PendingQueue::new(),
-            lru: LruTracker::new(),
-            consumed: std::collections::HashSet::new(),
+            cache: BlockCache::new(block, max_inflight),
+            consumed: HashSet::new(),
             deviations: 0,
         }
     }
@@ -89,7 +95,6 @@ impl KnowAcLike {
         scripts: &[RankScript],
         window: usize,
         block: u64,
-        dst: TierId,
         max_inflight: usize,
     ) -> Self {
         let mut trace: HashMap<ProcessId, Vec<TraceEntry>> = HashMap::new();
@@ -101,7 +106,7 @@ impl KnowAcLike {
                 }
             }
         }
-        Self::new(trace, window, block, dst, max_inflight)
+        Self::new(trace, window, block, max_inflight)
     }
 
     /// Reads that did not match the recorded history.
@@ -109,59 +114,18 @@ impl KnowAcLike {
         self.deviations
     }
 
-    fn enqueue_entry(&mut self, entry: TraceEntry, process: ProcessId, pos: u32) {
-        let first = entry.range.offset / self.block;
-        let last = (entry.range.end().saturating_sub(1)) / self.block;
-        for b in first..=last {
-            let key = BlockKey { file: entry.file, block: b };
-            if !self.lru.contains(&key) {
-                self.pending.push((key, process, pos));
-            }
-        }
-    }
-
-    fn pump(&mut self, ctl: &mut SimCtl<'_>) {
-        while self.inflight < self.max_inflight {
-            let Some((key, process, pos)) = self.pending.pop() else { break };
-            // Stale request: the process already replayed past this trace
-            // position — fetching it now would only clog the cache.
-            if self.cursor.get(&process).copied().unwrap_or(0) > pos as usize {
-                continue;
-            }
-            let range = key.range(self.block, ctl.file_size(key.file));
-            if range.is_empty() {
-                continue; // past EOF
-            }
-            if ctl.resident_on(key.file, range, self.dst) {
-                self.lru.touch(key);
-                continue;
-            }
-            let mut blocked = false;
-            while ctl.available(self.dst) < range.len {
-                // Recycle only blocks the application has already read.
-                let Some(victim) = self.lru.peek_coldest() else {
-                    blocked = true;
-                    break;
-                };
-                if !self.consumed.remove(&victim) {
-                    blocked = true;
-                    break; // cache full of not-yet-read prefetches: back off
+    /// Requests the blocks of `process`'s next `window` recorded reads and
+    /// pumps.
+    fn stage_window(&mut self, process: ProcessId, ctl: &mut SimCtl<'_>) {
+        let cursor = self.cursor.get(&process).copied().unwrap_or(0);
+        if let Some(entries) = self.trace.get(&process) {
+            for (pos, e) in entries.iter().enumerate().skip(cursor).take(self.window) {
+                for block in self.cache.blocks(e.range) {
+                    self.cache.request(BlockKey { file: e.file, block }, (process, pos as u32));
                 }
-                self.lru.remove(&victim);
-                let vrange = victim.range(self.block, ctl.file_size(victim.file));
-                ctl.discard(victim.file, vrange, self.dst);
-            }
-            if blocked {
-                // Requeue and stop pumping until reads free space.
-                self.pending.push((key, process, pos));
-                break;
-            }
-            let outcome = ctl.fetch(key.file, range, self.dst);
-            if outcome.scheduled > 0 {
-                self.inflight += 1;
-                self.lru.touch(key);
             }
         }
+        self.cache.pump(ctl, replayed(&self.cursor), read_already(&mut self.consumed));
     }
 }
 
@@ -180,20 +144,7 @@ impl PrefetchPolicy for KnowAcLike {
     ) {
         // The history tells us what this process reads first: stage its
         // initial window immediately.
-        let cursor = *self.cursor.entry(process).or_insert(0);
-        if let Some(entries) = self.trace.get(&process) {
-            let upcoming: Vec<(usize, TraceEntry)> = entries
-                .iter()
-                .enumerate()
-                .skip(cursor)
-                .take(self.window)
-                .map(|(i, e)| (i, *e))
-                .collect();
-            for (i, e) in upcoming {
-                self.enqueue_entry(e, process, i as u32);
-            }
-        }
-        self.pump(ctl);
+        self.stage_window(process, ctl);
     }
 
     fn on_read(
@@ -230,34 +181,17 @@ impl PrefetchPolicy for KnowAcLike {
         }
         // Mark the blocks just read as consumed (evictable), then stage
         // the next window.
-        let first = range.offset / self.block;
-        let last = (range.end().saturating_sub(1)) / self.block;
-        for b in first..=last {
-            let key = BlockKey { file, block: b };
-            if self.lru.contains(&key) {
-                self.lru.touch(key);
+        for block in self.cache.blocks(range) {
+            let key = BlockKey { file, block };
+            if self.cache.refresh(key) {
                 self.consumed.insert(key);
             }
         }
-        let cursor = self.cursor[&process];
-        if let Some(entries) = self.trace.get(&process) {
-            let upcoming: Vec<(usize, TraceEntry)> = entries
-                .iter()
-                .enumerate()
-                .skip(cursor)
-                .take(self.window)
-                .map(|(i, e)| (i, *e))
-                .collect();
-            for (i, e) in upcoming {
-                self.enqueue_entry(e, process, i as u32);
-            }
-        }
-        self.pump(ctl);
+        self.stage_window(process, ctl);
     }
 
     fn on_transfer_done(&mut self, _done: TransferDone, _now: Timestamp, ctl: &mut SimCtl<'_>) {
-        self.inflight = self.inflight.saturating_sub(1);
-        self.pump(ctl);
+        self.cache.landed(ctl, replayed(&self.cursor), read_already(&mut self.consumed));
     }
 }
 
@@ -291,7 +225,7 @@ mod tests {
     #[test]
     fn trace_extraction_captures_reads_in_order() {
         let (_, scripts) = strided_scripts(2);
-        let k = KnowAcLike::from_scripts(&scripts, 4, MIB, TierId(0), 4);
+        let k = KnowAcLike::from_scripts(&scripts, 4, MIB, 4);
         assert_eq!(k.trace.len(), 2);
         assert_eq!(k.trace[&ProcessId(0)].len(), 16);
         assert_eq!(k.trace[&ProcessId(1)].len(), 16);
@@ -302,7 +236,7 @@ mod tests {
     fn replay_gets_near_perfect_hits() {
         let h = Hierarchy::ram_only(mib(64));
         let (files, scripts) = strided_scripts(4);
-        let k = KnowAcLike::from_scripts(&scripts, 4, MIB, TierId(0), 8);
+        let k = KnowAcLike::from_scripts(&scripts, 4, MIB, 8);
         let (report, policy) =
             Simulation::new(SimConfig::new(h.clone()), files.clone(), scripts.clone(), k).run();
         let (none, _) = Simulation::new(SimConfig::new(h), files, scripts, NoPrefetch).run();
@@ -335,7 +269,7 @@ mod tests {
             .read(FileId(0), 2 * MIB, MIB)
             .close(FileId(0))
             .build()];
-        let k = KnowAcLike::new(trace, 2, MIB, TierId(0), 4);
+        let k = KnowAcLike::new(trace, 2, MIB, 4);
         let (_, policy) = Simulation::new(SimConfig::new(h), files, scripts, k).run();
         assert_eq!(policy.deviations(), 1);
     }
@@ -349,7 +283,7 @@ mod tests {
             .read(FileId(0), 0, MIB)
             .close(FileId(0))
             .build()];
-        let k = KnowAcLike::new(HashMap::new(), 2, MIB, TierId(0), 4);
+        let k = KnowAcLike::new(HashMap::new(), 2, MIB, 4);
         let (report, policy) = Simulation::new(SimConfig::new(h), files, scripts, k).run();
         assert_eq!(report.hit_ratio(), Some(0.0));
         assert_eq!(policy.deviations(), 1);

@@ -3,11 +3,10 @@
 //! Every baseline implements [`sim::PrefetchPolicy`], so the figure
 //! harnesses can swap them freely against [`hfetch_core::HFetchPolicy`]:
 //!
-//! * [`window::SerialPrefetcher`] — client-pull readahead with **one**
-//!   outstanding fetch ("the serial prefetcher can only bring one data
-//!   piece at a time", Fig. 4a).
-//! * [`window::ParallelPrefetcher`] — the same with `k` outstanding
-//!   fetches (the paper's parallel prefetcher, 4 threads).
+//! * [`window::WindowPrefetcher`] — client-pull readahead; with **one**
+//!   outstanding fetch it is the serial prefetcher ("the serial prefetcher
+//!   can only bring one data piece at a time", Fig. 4a), with `k` the
+//!   parallel one (the paper's parallel prefetcher, 4 threads).
 //! * [`inmem::InMemoryOptimal`] — per-process partitioned RAM cache: each
 //!   process prefetches its own stream into its own slice, no cross-process
 //!   eviction (Fig. 4b's "in-memory optimal").
@@ -28,6 +27,14 @@
 //! All of these are *client-pull, application-centric* designs: they react
 //! to their own application's accesses with no global view — precisely the
 //! contrast the paper draws with HFetch's data-centric server-push model.
+//!
+//! So all but [`inmem::InMemoryOptimal`] (whose per-process quotas are the
+//! point of its experiment) share one cache, [`lru::BlockCache`]: the RAM
+//! tier, a deduplicating request queue, LRU eviction and a bounded
+//! in-flight window, drained by one pump. A baseline is its predictor —
+//! readahead, a stride detector, a Markov model, a recorded trace — plus
+//! two rules it hands the pump: which queued requests are stale, and which
+//! cached blocks may be evicted.
 
 #![warn(missing_docs)]
 
@@ -43,4 +50,4 @@ pub use inmem::{InMemoryNaive, InMemoryOptimal};
 pub use knowac::KnowAcLike;
 pub use lru::LruTracker;
 pub use stacker::StackerLike;
-pub use window::{ParallelPrefetcher, SerialPrefetcher};
+pub use window::WindowPrefetcher;

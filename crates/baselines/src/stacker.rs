@@ -12,32 +12,27 @@
 //! * once a transition has been seen at least [`StackerLike::MIN_SUPPORT`]
 //!   times (the warm-up), the most frequent successors of the current
 //!   block are prefetched,
-//! * the cache is a single shared LRU pool in RAM (per the paper's setup:
-//!   "configured to fetch data from burst buffers to the application's
-//!   memory").
+//! * the cache is a single shared LRU pool in RAM, a [`BlockCache`] (per
+//!   the paper's setup: "configured to fetch data from burst buffers to
+//!   the application's memory").
 
 use std::collections::HashMap;
 
 use sim::engine::SimCtl;
 use sim::policy::{PrefetchPolicy, TransferDone};
-use tiers::ids::{AppId, FileId, ProcessId, TierId};
+use tiers::ids::{AppId, FileId, ProcessId};
 use tiers::range::ByteRange;
 use tiers::time::Timestamp;
 
-use crate::lru::{BlockKey, LruTracker, PendingQueue};
+use crate::lru::{BlockCache, BlockKey};
 
 /// Online Markov-model prefetcher (Stacker-like).
 pub struct StackerLike {
-    block: u64,
-    dst: TierId,
     fanout: usize,
-    max_inflight: usize,
-    inflight: usize,
+    cache: BlockCache,
     /// Transition counts: block → (successor → count).
     model: HashMap<BlockKey, HashMap<BlockKey, u32>>,
     last_by_process: HashMap<ProcessId, BlockKey>,
-    pending: PendingQueue,
-    lru: LruTracker,
     predictions: u64,
 }
 
@@ -47,19 +42,15 @@ impl StackerLike {
     pub const MIN_SUPPORT: u32 = 2;
 
     /// Prefetch the top-`fanout` predicted successors of each accessed
-    /// block (`block` bytes each) into tier `dst`.
-    pub fn new(block: u64, dst: TierId, fanout: usize, max_inflight: usize) -> Self {
-        assert!(block > 0 && fanout > 0 && max_inflight > 0);
+    /// block (`block` bytes each), at most `max_inflight` outstanding
+    /// transfers.
+    pub fn new(block: u64, fanout: usize, max_inflight: usize) -> Self {
+        assert!(fanout > 0);
         Self {
-            block,
-            dst,
             fanout,
-            max_inflight,
-            inflight: 0,
+            cache: BlockCache::new(block, max_inflight),
             model: HashMap::new(),
             last_by_process: HashMap::new(),
-            pending: PendingQueue::new(),
-            lru: LruTracker::new(),
             predictions: 0,
         }
     }
@@ -81,30 +72,6 @@ impl StackerLike {
         ranked.sort_by(|a, b| b.1.cmp(a.1).then(a.0.cmp(b.0)));
         ranked.into_iter().take(self.fanout).map(|(k, _)| *k).collect()
     }
-
-    fn pump(&mut self, ctl: &mut SimCtl<'_>) {
-        while self.inflight < self.max_inflight {
-            let Some(key) = self.pending.pop() else { break };
-            let range = key.range(self.block, ctl.file_size(key.file));
-            if range.is_empty() {
-                continue; // past EOF
-            }
-            if ctl.resident_on(key.file, range, self.dst) {
-                self.lru.touch(key);
-                continue;
-            }
-            while ctl.available(self.dst) < range.len {
-                let Some(victim) = self.lru.pop_coldest() else { break };
-                let vrange = victim.range(self.block, ctl.file_size(victim.file));
-                ctl.discard(victim.file, vrange, self.dst);
-            }
-            let outcome = ctl.fetch(key.file, range, self.dst);
-            if outcome.scheduled > 0 {
-                self.inflight += 1;
-                self.lru.touch(key);
-            }
-        }
-    }
 }
 
 impl PrefetchPolicy for StackerLike {
@@ -121,10 +88,8 @@ impl PrefetchPolicy for StackerLike {
         _now: Timestamp,
         ctl: &mut SimCtl<'_>,
     ) {
-        let key = BlockKey { file, block: range.offset / self.block };
-        if self.lru.contains(&key) {
-            self.lru.touch(key);
-        }
+        let key = BlockKey { file, block: range.offset / self.cache.block() };
+        self.cache.refresh(key);
         // Learn the transition from this process's previous access.
         if let Some(prev) = self.last_by_process.insert(process, key) {
             if prev != key {
@@ -134,16 +99,13 @@ impl PrefetchPolicy for StackerLike {
         // Predict and enqueue.
         for predicted in self.predict(key) {
             self.predictions += 1;
-            if !self.lru.contains(&predicted) {
-                self.pending.push(predicted);
-            }
+            self.cache.request(predicted, ());
         }
-        self.pump(ctl);
+        self.cache.pump(ctl, |_, _| false, |_| true);
     }
 
     fn on_transfer_done(&mut self, _done: TransferDone, _now: Timestamp, ctl: &mut SimCtl<'_>) {
-        self.inflight = self.inflight.saturating_sub(1);
-        self.pump(ctl);
+        self.cache.landed(ctl, |_, _| false, |_| true);
     }
 }
 
@@ -158,7 +120,7 @@ mod tests {
 
     #[test]
     fn model_learns_transitions_after_warmup() {
-        let mut s = StackerLike::new(MIB, TierId(0), 2, 4);
+        let mut s = StackerLike::new(MIB, 2, 4);
         let a = BlockKey { file: FileId(0), block: 0 };
         let b = BlockKey { file: FileId(0), block: 5 };
         assert!(s.predict(a).is_empty());
@@ -170,7 +132,7 @@ mod tests {
 
     #[test]
     fn fanout_ranks_by_count() {
-        let mut s = StackerLike::new(MIB, TierId(0), 2, 4);
+        let mut s = StackerLike::new(MIB, 2, 4);
         let a = BlockKey { file: FileId(0), block: 0 };
         for (blk, count) in [(1u64, 5u32), (2, 9), (3, 2), (4, 7)] {
             s.model.entry(a).or_default().insert(BlockKey { file: FileId(0), block: blk }, count);
@@ -196,7 +158,7 @@ mod tests {
             }
         }
         let scripts = vec![builder.close(FileId(0)).build()];
-        let p = StackerLike::new(MIB, TierId(0), 2, 4);
+        let p = StackerLike::new(MIB, 2, 4);
         let (report, policy) =
             Simulation::new(SimConfig::new(h), files, scripts, p).run();
         assert!(policy.model_size() >= 7, "learned the cycle: {}", policy.model_size());
@@ -218,7 +180,7 @@ mod tests {
             .timestep_reads(FileId(0), 0, MIB, 16, Duration::from_millis(10))
             .close(FileId(0))
             .build()];
-        let p = StackerLike::new(MIB, TierId(0), 2, 4);
+        let p = StackerLike::new(MIB, 2, 4);
         let (report, policy) =
             Simulation::new(SimConfig::new(h), files, scripts, p).run();
         // A single sequential pass never repeats a transition: the model

@@ -1,109 +1,58 @@
-//! Windowed readahead prefetchers: the serial and parallel baselines.
+//! Windowed readahead: the serial and parallel baselines.
 //!
 //! Fig. 4(a) compares HFetch against "a serial prefetcher" (one data piece
 //! in flight at a time) and "a parallel prefetcher" (four prefetching
 //! threads) that fetch ahead of sequential reads into a single RAM cache.
-//! [`WindowPrefetcher`] implements the shared machinery: per-process
-//! readahead of the next `depth` blocks, at most `max_inflight`
-//! outstanding transfers, LRU eviction when the cache tier fills.
+//! [`WindowPrefetcher`] is both: per-process readahead of the next `depth`
+//! blocks into a [`BlockCache`] whose window holds `max_inflight`
+//! transfers (1 for the serial row, 4 for the parallel one).
 
 use std::collections::HashMap;
 
 use sim::engine::SimCtl;
 use sim::policy::{PrefetchPolicy, TransferDone};
-use tiers::ids::{AppId, FileId, ProcessId, TierId};
+use tiers::ids::{AppId, FileId, ProcessId};
 use tiers::range::ByteRange;
 use tiers::time::Timestamp;
 
-use crate::lru::{BlockKey, LruTracker, PendingQueue};
+use crate::lru::{BlockCache, BlockKey};
 
 /// Client-pull readahead with a bounded in-flight window.
 pub struct WindowPrefetcher {
     name: &'static str,
-    /// Maximum concurrent transfers ("prefetching threads").
-    max_inflight: usize,
     /// How many blocks ahead of each read to request.
     depth: u64,
-    /// Prefetch block size.
-    block: u64,
-    /// Cache tier (RAM for the paper's baselines).
-    dst: TierId,
-    inflight: usize,
-    pending: PendingQueue<(BlockKey, ProcessId)>,
-    lru: LruTracker,
+    /// Requests are tagged with the reading process.
+    cache: BlockCache<ProcessId>,
     /// Highest block each process has read per file: readahead requests
     /// the reader has already passed are stale and get pruned, so a slow
     /// (serial) window spends its budget at the front of the stream.
     position: HashMap<(ProcessId, FileId), u64>,
 }
 
+/// The stale rule: the requester already read past this block.
+fn passed(
+    position: &HashMap<(ProcessId, FileId), u64>,
+) -> impl Fn(BlockKey, &ProcessId) -> bool + '_ {
+    move |key, process| position.get(&(*process, key.file)).is_some_and(|&pos| key.block <= pos)
+}
+
 impl WindowPrefetcher {
-    /// Creates a prefetcher with explicit parameters.
-    pub fn new(
-        name: &'static str,
-        max_inflight: usize,
-        depth: u64,
-        block: u64,
-        dst: TierId,
-    ) -> Self {
-        assert!(max_inflight > 0 && depth > 0 && block > 0);
+    /// Readahead of `depth` blocks of `block` bytes per read, at most
+    /// `max_inflight` outstanding transfers.
+    pub fn new(name: &'static str, max_inflight: usize, depth: u64, block: u64) -> Self {
+        assert!(depth > 0);
         Self {
             name,
-            max_inflight,
             depth,
-            block,
-            dst,
-            inflight: 0,
-            pending: PendingQueue::new(),
-            lru: LruTracker::new(),
+            cache: BlockCache::new(block, max_inflight),
             position: HashMap::new(),
         }
     }
 
     /// Blocks currently tracked in the cache.
     pub fn cached_blocks(&self) -> usize {
-        self.lru.len()
-    }
-
-    fn enqueue(&mut self, key: BlockKey, process: ProcessId) {
-        if !self.lru.contains(&key) {
-            self.pending.push((key, process));
-        }
-    }
-
-    /// Issues queued prefetches while the window has room.
-    fn pump(&mut self, ctl: &mut SimCtl<'_>) {
-        while self.inflight < self.max_inflight {
-            let Some((key, requester)) = self.pending.pop() else { break };
-            // Stale readahead: the requester already read past this block.
-            if let Some(&pos) = self.position.get(&(requester, key.file)) {
-                if key.block <= pos {
-                    continue;
-                }
-            }
-            let range = key.range(self.block, ctl.file_size(key.file));
-            if range.is_empty() {
-                continue; // past EOF
-            }
-            if ctl.resident_on(key.file, range, self.dst) {
-                self.lru.touch(key);
-                continue;
-            }
-            // Make room: evict coldest blocks until the range fits.
-            while ctl.available(self.dst) < range.len {
-                let Some(victim) = self.lru.pop_coldest() else { break };
-                let vrange = victim.range(self.block, ctl.file_size(victim.file));
-                ctl.discard(victim.file, vrange, self.dst);
-            }
-            let outcome = ctl.fetch(key.file, range, self.dst);
-            if outcome.scheduled > 0 {
-                self.inflight += 1;
-                self.lru.touch(key);
-            } else if outcome.already_resident > 0 || outcome.in_flight > 0 {
-                self.lru.touch(key);
-            }
-            // Denied with nothing evictable: drop the request.
-        }
+        self.cache.cached_blocks()
     }
 }
 
@@ -122,21 +71,18 @@ impl PrefetchPolicy for WindowPrefetcher {
         ctl: &mut SimCtl<'_>,
     ) {
         // Touch the blocks being read (they are useful; keep them warm).
-        let first = range.offset / self.block;
-        let last = (range.end().saturating_sub(1)) / self.block;
-        for b in first..=last {
-            let key = BlockKey { file, block: b };
-            if self.lru.contains(&key) {
-                self.lru.touch(key);
-            }
+        let blocks = self.cache.blocks(range);
+        let last = *blocks.end();
+        for block in blocks {
+            self.cache.refresh(BlockKey { file, block });
         }
         let pos = self.position.entry((process, file)).or_insert(0);
         *pos = (*pos).max(last);
         // Readahead: the next `depth` blocks after the request.
         for step in 1..=self.depth {
-            self.enqueue(BlockKey { file, block: last + step }, process);
+            self.cache.request(BlockKey { file, block: last + step }, process);
         }
-        self.pump(ctl);
+        self.cache.pump(ctl, passed(&self.position), |_| true);
     }
 
     fn on_write(
@@ -149,40 +95,13 @@ impl PrefetchPolicy for WindowPrefetcher {
         _ctl: &mut SimCtl<'_>,
     ) {
         // The simulator already invalidated residency; drop our tracking.
-        let first = range.offset / self.block;
-        let last = (range.end().saturating_sub(1)) / self.block;
-        for b in first..=last {
-            self.lru.remove(&BlockKey { file, block: b });
+        for block in self.cache.blocks(range) {
+            self.cache.forget(&BlockKey { file, block });
         }
     }
 
     fn on_transfer_done(&mut self, _done: TransferDone, _now: Timestamp, ctl: &mut SimCtl<'_>) {
-        self.inflight = self.inflight.saturating_sub(1);
-        self.pump(ctl);
-    }
-}
-
-/// The paper's serial prefetcher: one outstanding fetch.
-pub struct SerialPrefetcher;
-
-impl SerialPrefetcher {
-    /// Readahead of `depth` blocks of `block` bytes into `dst`.
-    #[allow(clippy::new_ret_no_self)] // namespace type: configures a WindowPrefetcher
-    pub fn new(depth: u64, block: u64, dst: TierId) -> WindowPrefetcher {
-        WindowPrefetcher::new("serial", 1, depth, block, dst)
-    }
-}
-
-/// The paper's parallel prefetcher: `threads` outstanding fetches
-/// (4 in the evaluation).
-pub struct ParallelPrefetcher;
-
-impl ParallelPrefetcher {
-    /// `threads`-way readahead of `depth` blocks of `block` bytes into
-    /// `dst`.
-    #[allow(clippy::new_ret_no_self)] // namespace type: configures a WindowPrefetcher
-    pub fn new(threads: usize, depth: u64, block: u64, dst: TierId) -> WindowPrefetcher {
-        WindowPrefetcher::new("parallel", threads, depth, block, dst)
+        self.cache.landed(ctl, passed(&self.position), |_| true);
     }
 }
 
@@ -229,8 +148,8 @@ mod tests {
                 .0
         };
         let none = run(Box::new(NoPrefetch));
-        let serial = run(Box::new(SerialPrefetcher::new(4, MIB, TierId(0))));
-        let parallel = run(Box::new(ParallelPrefetcher::new(4, 4, MIB, TierId(0))));
+        let serial = run(Box::new(WindowPrefetcher::new("serial", 1, 4, MIB)));
+        let parallel = run(Box::new(WindowPrefetcher::new("parallel", 4, 4, MIB)));
         assert!(
             parallel.seconds() < serial.seconds(),
             "parallel {} < serial {}",
@@ -252,7 +171,7 @@ mod tests {
         // Cache of 4 MiB, workload streams 64 MiB: usage must stay bounded.
         let h = Hierarchy::ram_only(mib(4));
         let (files, scripts) = sequential(1, mib(64), 64, Duration::from_millis(10));
-        let p = ParallelPrefetcher::new(2, 2, MIB, TierId(0));
+        let p = WindowPrefetcher::new("parallel", 2, 2, MIB);
         let (report, policy) =
             Simulation::new(SimConfig::new(h), files, scripts, p).run();
         assert!(report.tiers[0].peak_bytes <= mib(4));
@@ -270,7 +189,7 @@ mod tests {
             .write(FileId(0), MIB, MIB) // clobber the readahead block
             .read(FileId(0), MIB, MIB)
             .build()];
-        let p = SerialPrefetcher::new(2, MIB, TierId(0));
+        let p = WindowPrefetcher::new("serial", 1, 2, MIB);
         let (report, _) = Simulation::new(SimConfig::new(h), files, scripts, p).run();
         assert!(report.invalidated_bytes >= MIB);
     }
@@ -278,6 +197,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "max_inflight > 0")]
     fn zero_window_rejected() {
-        let _ = WindowPrefetcher::new("x", 0, 1, 1, TierId(0));
+        let _ = WindowPrefetcher::new("x", 0, 1, 1);
     }
 }

@@ -1,6 +1,10 @@
 //! Discrete-event simulator kernel throughput: events dispatched per
 //! second of wall time, which bounds how large a cluster the figure
-//! harnesses can replay.
+//! harnesses can replay. An event is one application open/read/write/close
+//! the simulator delivered to the policy (`SimReport::events_delivered`,
+//! counted on an untimed run of the same workload). The headline
+//! `sim_kernel/hfetch_over_none/64` is HFetch's wall time over NoPrefetch's
+//! on the same 64-rank workload.
 //!
 //! Alongside the end-to-end DES number, two ablations keep the hot-path
 //! choices honest as bench comparisons rather than dead code:
@@ -8,9 +12,6 @@
 //! * `event_state_map/{fx,std}` — the per-event state maps
 //!   (`inflight_to`, `inflight_any`, …) keyed by small integer ids, over
 //!   the in-tree FxHash vs std's SipHash,
-//! * `placement_updates/{raw,coalesced}` — `PlacementEngine::run` fed a
-//!   duplicate-heavy raw score-update stream vs the same stream coalesced
-//!   to latest-per-segment first (what `Auditor::drain_updates` now does),
 //! * `sim_kernel/hfetch/obs_{off,on}` — the same DES workload through the
 //!   full HFetch policy with the observability recorder disabled (the
 //!   default: instrumented call sites pay one branch) vs enabled (typed
@@ -30,15 +31,13 @@ use bench_support::perf::{Metric, PerfReport};
 use bench_support::table::results_dir;
 use criterion::{black_box, measure, Bencher, Measurement};
 use dht::FxHasher;
-use hfetch_core::config::{HFetchConfig, Reactiveness};
-use hfetch_core::engine::PlacementEngine;
+use hfetch_core::config::HFetchConfig;
 use hfetch_core::policy::HFetchPolicy;
-use hfetch_core::ScoreUpdate;
 use sim::engine::{SimConfig, Simulation};
 use sim::policy::NoPrefetch;
+use sim::report::SimReport;
 use sim::script::{RankScript, ScriptBuilder, SimFile};
-use tiers::ids::{AppId, FileId, ProcessId, SegmentId};
-use tiers::time::Timestamp;
+use tiers::ids::{AppId, FileId, ProcessId};
 use tiers::topology::Hierarchy;
 use tiers::units::{gib, MIB};
 
@@ -82,44 +81,6 @@ fn state_map_workout<S: std::hash::BuildHasher + Default>(files: u32, ops: u32) 
     acc + inflight_to.len() as u64 + inflight_any.len() as u64
 }
 
-/// A duplicate-heavy score-update stream: `segments` distinct segments
-/// re-scored `rounds` times each, interleaved — what a burst of reads
-/// produces before coalescing.
-fn raw_updates(segments: u64, rounds: u64) -> Vec<ScoreUpdate> {
-    let mut updates = Vec::with_capacity((segments * rounds) as usize);
-    for round in 0..rounds {
-        for index in 0..segments {
-            updates.push(ScoreUpdate {
-                segment: SegmentId::new(FileId(0), index),
-                score: 1.0 + round as f64 + (index % 7) as f64 * 0.1,
-                size: MIB,
-                anticipated: false,
-            });
-        }
-    }
-    updates
-}
-
-/// Latest-per-segment coalescing in first-touch order — the auditor-side
-/// transform, costed inside the timed region for a fair comparison.
-fn coalesce(updates: &[ScoreUpdate]) -> Vec<ScoreUpdate> {
-    let mut index: dht::FxHashMap<SegmentId, usize> = dht::FxHashMap::default();
-    let mut out: Vec<ScoreUpdate> = Vec::new();
-    for u in updates {
-        if let Some(&i) = index.get(&u.segment) {
-            out[i] = *u;
-        } else {
-            index.insert(u.segment, out.len());
-            out.push(*u);
-        }
-    }
-    out
-}
-
-fn engine() -> PlacementEngine {
-    PlacementEngine::new(&Hierarchy::with_budgets(gib(1), gib(2), gib(4)), Reactiveness::high())
-}
-
 struct Bench {
     perf: PerfReport,
     test_mode: bool,
@@ -154,22 +115,22 @@ fn main() {
     };
 
     // End-to-end DES throughput.
+    let reads = 16u32;
+    let mut none_64 = Duration::ZERO;
     for ranks in [64u32, 512] {
-        let reads = 16u32;
-        let events = ranks as u64 * (reads as u64 * 2 + 2); // compute+read per step, open/close
-        bench.run(
-            &format!("sim_kernel/no_prefetch/{ranks}"),
-            "events_per_s",
-            events as f64,
-            |b| {
-                b.iter(|| {
-                    let (files, scripts) = workload(ranks, reads);
-                    let config = SimConfig::new(Hierarchy::with_budgets(gib(1), gib(2), gib(4)))
-                        .with_nodes(ranks.div_ceil(40).max(1));
-                    Simulation::new(config, files, scripts, NoPrefetch).run().0.makespan
-                })
-            },
-        );
+        let run = || {
+            let (files, scripts) = workload(ranks, reads);
+            let config = SimConfig::new(Hierarchy::with_budgets(gib(1), gib(2), gib(4)))
+                .with_nodes(ranks.div_ceil(40).max(1));
+            Simulation::new(config, files, scripts, NoPrefetch).run().0
+        };
+        let events = run().events_delivered as f64;
+        let m = bench.run(&format!("sim_kernel/no_prefetch/{ranks}"), "events_per_s", events, |b| {
+            b.iter(|| run().makespan)
+        });
+        if ranks == 64 {
+            none_64 = m.mean;
+        }
     }
 
     // Ablation 1: hasher for the per-event state maps.
@@ -181,25 +142,11 @@ fn main() {
         b.iter(|| state_map_workout::<std::hash::RandomState>(black_box(256), ops))
     });
 
-    // Ablation 2: engine fed raw duplicate-heavy updates vs coalesced.
-    let (segments, rounds) = (256u64, 64u64);
-    let raw = raw_updates(segments, rounds);
-    let raw_events = raw.len() as f64;
-    let mut raw_engine = engine();
-    bench.run("placement_updates/raw", "updates_per_s", raw_events, |b| {
-        b.iter(|| raw_engine.run(black_box(raw.clone()), Timestamp::ZERO).len())
-    });
-    let mut coalesced_engine = engine();
-    bench.run("placement_updates/coalesced", "updates_per_s", raw_events, |b| {
-        b.iter(|| coalesced_engine.run(coalesce(black_box(&raw)), Timestamp::ZERO).len())
-    });
-
-    // Ablation 3: observability cost contract — HFetch end to end with
+    // Ablation 2: observability cost contract — HFetch end to end with
     // the recorder disabled vs enabled. A fresh recorder per iteration so
     // the enabled side pays allocation + every record, not amortization.
-    let (ranks, reads) = (64u32, 16u32);
-    let events = ranks as u64 * (reads as u64 * 2 + 2);
-    let run_with = |rec: obs::Recorder| {
+    let ranks = 64u32;
+    let run_with = |rec: obs::Recorder| -> SimReport {
         let (files, scripts) = workload(ranks, reads);
         let hierarchy = Hierarchy::with_budgets(gib(1), gib(2), gib(4));
         let config = SimConfig::new(hierarchy.clone())
@@ -207,13 +154,19 @@ fn main() {
             .with_obs(rec.clone());
         let policy =
             HFetchPolicy::new(HFetchConfig { obs: rec, ..Default::default() }, &hierarchy);
-        Simulation::new(config, files, scripts, policy).run().0.makespan
+        Simulation::new(config, files, scripts, policy).run().0
     };
-    bench.run("sim_kernel/hfetch/obs_off", "events_per_s", events as f64, |b| {
-        b.iter(|| run_with(obs::Recorder::disabled()))
+    let events = run_with(obs::Recorder::disabled()).events_delivered as f64;
+    let hfetch = bench.run("sim_kernel/hfetch/obs_off", "events_per_s", events, |b| {
+        b.iter(|| run_with(obs::Recorder::disabled()).makespan)
     });
-    bench.run("sim_kernel/hfetch/obs_on", "events_per_s", events as f64, |b| {
-        b.iter(|| run_with(obs::Recorder::enabled()))
+    // Headline: what HFetch's policy work costs on top of the bare DES,
+    // as a wall-time ratio over the same 64-rank workload.
+    let ratio = hfetch.mean.as_secs_f64() / none_64.as_secs_f64();
+    println!("{:<40} ratio: {ratio:.1}x", "sim_kernel/hfetch_over_none/64");
+    bench.perf.push(Metric::new("sim_kernel/hfetch_over_none/64", ratio, "x"));
+    bench.run("sim_kernel/hfetch/obs_on", "events_per_s", events, |b| {
+        b.iter(|| run_with(obs::Recorder::enabled()).makespan)
     });
 
     bench.perf.save(&results_dir(), "BENCH_sim_kernel.json").expect("perf record");

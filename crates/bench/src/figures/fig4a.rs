@@ -11,12 +11,12 @@
 //! (paper: 17% slower) with an **8× smaller RAM footprint**; serial well
 //! behind (HFetch 44% faster); no-prefetching slowest.
 
-use baselines::window::ParallelPrefetcher;
+use baselines::WindowPrefetcher;
 use hfetch_core::config::HFetchConfig;
 use hfetch_core::policy::HFetchPolicy;
 use sim::policy::NoPrefetch;
 use sim::script::{RankScript, ScriptBuilder, SimFile};
-use tiers::ids::{AppId, FileId, ProcessId, TierId};
+use tiers::ids::{AppId, FileId, ProcessId};
 use tiers::topology::Hierarchy;
 use tiers::units::fmt_bytes;
 
@@ -72,7 +72,7 @@ pub fn grid(scale: BenchScale) -> Grid {
         Cell::new({
             let (flat, files, scripts) = (flat.clone(), files.clone(), scripts.clone());
             move |rec| {
-                let policy = ParallelPrefetcher::new(parallel_inflight, depth, request, TierId(0));
+                let policy = WindowPrefetcher::new("parallel", parallel_inflight, depth, request);
                 run_sim(flat, nodes, files, scripts, policy, rec)
             }
         }),
@@ -95,13 +95,7 @@ pub fn grid(scale: BenchScale) -> Grid {
         Cell::new({
             let (flat, files, scripts) = (flat.clone(), files.clone(), scripts.clone());
             move |rec| {
-                let policy = baselines::window::WindowPrefetcher::new(
-                    "serial",
-                    serial_inflight,
-                    depth,
-                    request,
-                    TierId(0),
-                );
+                let policy = WindowPrefetcher::new("serial", serial_inflight, depth, request);
                 run_sim(flat, nodes, files, scripts, policy, rec)
             }
         }),

@@ -18,7 +18,6 @@ use std::time::Duration;
 use baselines::app_centric::AppCentricPrefetcher;
 use hfetch_core::config::HFetchConfig;
 use hfetch_core::policy::HFetchPolicy;
-use tiers::ids::TierId;
 use tiers::topology::Hierarchy;
 use tiers::units::{fmt_bytes, mib, MIB};
 use workloads::patterns::{AccessPattern, PatternWorkload};
@@ -76,7 +75,7 @@ pub fn grid(scale: BenchScale) -> Grid {
         cells.push(Cell::new({
             let (files, scripts) = (files.clone(), scripts.clone());
             move |rec| {
-                let policy = AppCentricPrefetcher::new(8, MIB, TierId(0), inflight);
+                let policy = AppCentricPrefetcher::new(8, MIB, inflight);
                 run_sim(Hierarchy::ram_only(app_cache), nodes, files, scripts, policy, rec)
             }
         }));

@@ -29,7 +29,6 @@ use hfetch_core::policy::HFetchPolicy;
 use sim::policy::NoPrefetch;
 use sim::report::SimReport;
 use sim::script::{RankScript, SimFile};
-use tiers::ids::TierId;
 use tiers::tier::TierSpec;
 use tiers::topology::Hierarchy;
 use tiers::units::{fmt_bytes, gib, MIB};
@@ -83,14 +82,14 @@ fn point_cells(
         Cell::new({
             let (files, scripts) = (files.clone(), scripts.clone());
             move |rec| {
-                let policy = StackerLike::new(block, TierId(0), 2, inflight);
+                let policy = StackerLike::new(block, 2, inflight);
                 run_sim(bb_flat(ram), nodes, files, scripts, policy, rec)
             }
         }),
         Cell::new({
             let (files, scripts) = (files.clone(), scripts.clone());
             move |rec| {
-                let policy = KnowAcLike::from_scripts(&scripts, 4, block, TierId(0), inflight);
+                let policy = KnowAcLike::from_scripts(&scripts, 4, block, inflight);
                 run_sim(bb_flat(ram), nodes, files, scripts, policy, rec)
             }
         }),

@@ -1,6 +1,6 @@
 //! Golden-trace regression suite: pins the smoke-scale decision traces,
-//! merged ObsReports and occupancy timelines of the figure scenarios,
-//! byte for byte.
+//! merged ObsReports and occupancy timelines of the figure scenarios, and
+//! the table of every simulated figure, byte for byte.
 //!
 //! Algorithm 1 and the simulator's fetch path are deterministic, so any
 //! diff here is a behavior change — either a regression, or an intended
@@ -21,6 +21,8 @@
 //! (one grid per figure), and tracing must not perturb them: the last test
 //! runs each traced cell with obs off and on and compares the reports, so
 //! the goldens (recorded with obs on) pin the tables (run with obs off).
+//! The table goldens (`<fig>.table.txt`) also pin the baseline cells,
+//! which carry no trace.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -122,6 +124,31 @@ fn fig6a_trace_matches_golden() {
 #[test]
 fn fig6b_trace_matches_golden() {
     check("fig6b");
+}
+
+#[test]
+fn simulated_tables_match_golden() {
+    let bless = std::env::var("HFETCH_BLESS").as_deref() == Ok("1");
+    // Fig. 3a measures wall-clock event rates: not reproducible.
+    let divergences: Vec<String> = figures::FIGURES
+        .iter()
+        .filter(|fig| fig.name != "fig3a")
+        .filter_map(|fig| {
+            let name = format!("{}.table.txt", fig.name);
+            let got = fig.table(BenchScale::Smoke, 1).render();
+            if bless {
+                fs::create_dir_all(golden_dir()).expect("create golden dir");
+                fs::write(golden_dir().join(&name), &got).expect("write golden");
+                return None;
+            }
+            golden_divergence(&name, &got)
+        })
+        .collect();
+    assert!(
+        divergences.is_empty(),
+        "{}if intended, re-bless with HFETCH_BLESS=1",
+        divergences.concat()
+    );
 }
 
 #[test]

@@ -120,10 +120,6 @@ pub struct PlacementEngine {
     margin: f64,
     last_run: Timestamp,
     runs: u64,
-    /// Reusable buffers for the per-run duplicate collapse; kept across
-    /// runs so the hot path allocates nothing once warm.
-    scratch_latest: FxHashMap<SegmentId, ScoreUpdate>,
-    scratch_order: Vec<SegmentId>,
     /// Observability sink: every emitted [`PlacementAction`] is mirrored as
     /// a typed `obs::PlacementEvent` stamped with the engine's current run
     /// time (`last_run` — actions triggered outside a run, e.g. offline
@@ -172,8 +168,6 @@ impl PlacementEngine {
             margin,
             last_run: Timestamp::ZERO,
             runs: 0,
-            scratch_latest: FxHashMap::default(),
-            scratch_order: Vec::new(),
             obs: obs::Recorder::default(),
             evacuating: false,
             spans: FxHashMap::default(),
@@ -256,7 +250,10 @@ impl PlacementEngine {
     }
 
     /// Processes a batch of score updates, returning the actions to
-    /// execute. Updates for the same segment collapse to the last one.
+    /// execute. The batch holds at most one update per segment, as
+    /// [`crate::auditor::Auditor::drain_updates`] returns it (the update
+    /// queue coalesces each segment to its latest score); a duplicate would
+    /// be placed once per update, in score order.
     pub fn run(&mut self, updates: Vec<ScoreUpdate>, now: Timestamp) -> Vec<PlacementAction> {
         self.run_traced(updates, now, obs::SpanCtx::NONE)
     }
@@ -267,7 +264,7 @@ impl PlacementEngine {
     /// reads ingest → drain → decision → transfer → landing → read.
     pub fn run_traced(
         &mut self,
-        updates: Vec<ScoreUpdate>,
+        mut updates: Vec<ScoreUpdate>,
         now: Timestamp,
         parent: obs::SpanCtx,
     ) -> Vec<PlacementAction> {
@@ -275,36 +272,21 @@ impl PlacementEngine {
         self.last_run = now;
         self.runs += 1;
         let mut actions = Vec::new();
-        // Collapse duplicates, keeping the latest score per segment. The
-        // auditor already coalesces its queue, but callers may hand the
-        // engine raw batches; the collapse reuses scratch buffers so a
-        // warm engine allocates nothing here.
-        let mut latest = std::mem::take(&mut self.scratch_latest);
-        let mut order = std::mem::take(&mut self.scratch_order);
-        latest.clear();
-        order.clear();
-        for u in updates {
-            if latest.insert(u.segment, u).is_none() {
-                order.push(u.segment);
-            }
-        }
         // Place hotter segments first so they claim fast tiers before
         // colder ones fill them.
-        order.sort_by(|a, b| {
-            let sa = latest[a].score;
-            let sb = latest[b].score;
-            sb.partial_cmp(&sa).unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(b))
+        updates.sort_by(|a, b| {
+            b.score
+                .partial_cmp(&a.score)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.segment.cmp(&b.segment))
         });
-        for &seg in &order {
-            let u = latest[&seg];
+        for u in updates {
             if u.size == 0 {
                 continue;
             }
             let origin = self.unplace(u.segment);
             self.settle(u.segment, u.size, ScoreKey::new(u.score), origin, 0, &mut actions);
         }
-        self.scratch_latest = latest;
-        self.scratch_order = order;
         actions
     }
 
@@ -665,18 +647,6 @@ mod tests {
         e.run(vec![update(0, 5.0)], Timestamp::ZERO);
         let actions = e.run(vec![update(0, 5.1)], Timestamp::ZERO);
         assert!(actions.is_empty(), "stayed in RAM: {actions:?}");
-    }
-
-    #[test]
-    fn duplicate_updates_collapse_to_latest() {
-        let mut e = engine();
-        let actions = e.run(
-            vec![update(0, 9.0), update(0, 0.0), update(0, 3.0)],
-            Timestamp::ZERO,
-        );
-        assert_eq!(actions.len(), 1);
-        assert_eq!(e.location(SegmentId::new(F, 0)), Some(TierId(0)));
-        assert_eq!(e.watermarks(0).0, Some(3.0));
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! * hierarchy topologies with validation and the paper's reference testbed
 //!   configurations ([`topology`]),
 //! * thread-safe capacity accounting ([`capacity`]),
-//! * pluggable storage backends — in-memory, real-directory (tmpfs/NVMe), and
-//!   bookkeeping-only ([`backend`]),
+//! * pluggable storage backends for the real data path — in-memory and
+//!   real-directory (tmpfs/NVMe) ([`backend`]),
 //! * a data mover that copies ranges between backends, with bounded
 //!   retry-with-backoff for transient failures ([`mover`]),
 //! * a deterministic, seeded fault-injection layer: per-operation
@@ -40,7 +40,7 @@ pub mod time;
 pub mod topology;
 pub mod units;
 
-pub use backend::{DirectoryBackend, MemoryBackend, NullBackend, StorageBackend};
+pub use backend::{DirectoryBackend, MemoryBackend, StorageBackend};
 pub use capacity::CapacityLedger;
 pub use error::TierError;
 pub use faults::{FaultConfig, FaultPlan, FaultStats, FlakyBackend, OfflineWindow};

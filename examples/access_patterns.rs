@@ -44,7 +44,7 @@ fn main() {
             SimConfig::new(flat).with_nodes(2),
             files.clone(),
             scripts.clone(),
-            AppCentricPrefetcher::new(8, MIB, TierId(0), 16),
+            AppCentricPrefetcher::new(8, MIB, 16),
         )
         .run();
 

@@ -54,11 +54,11 @@ fn main() {
         SimConfig::new(flat.clone()).with_nodes(nodes),
         files.clone(),
         scripts.clone(),
-        StackerLike::new(MIB, TierId(0), 2, 32),
+        StackerLike::new(MIB, 2, 32),
     )
     .run();
 
-    let knowac_policy = KnowAcLike::from_scripts(&scripts, 4, MIB, TierId(0), 32);
+    let knowac_policy = KnowAcLike::from_scripts(&scripts, 4, MIB, 32);
     let (knowac, _) = Simulation::new(
         SimConfig::new(flat).with_nodes(nodes),
         files.clone(),

@@ -19,7 +19,7 @@
 #      parallel scenario runner, into a throwaway results dir so committed
 #      bench_results/ artifacts are not clobbered by smoke-scale numbers.
 #   5. sim_kernel bench in --test mode: one iteration per measurement,
-#      exercising the FxHash/std and raw/coalesced ablations plus the
+#      exercising the FxHash/std and obs off/on ablations plus the
 #      BENCH_sim_kernel.json emission path.
 #
 # Determinism of the chaos grid, the decision traces and the Perfetto

@@ -13,13 +13,13 @@ fn hierarchy() -> Hierarchy {
 fn policies(scripts: &[RankScript]) -> Vec<Box<dyn PrefetchPolicy>> {
     vec![
         Box::new(NoPrefetch),
-        Box::new(SerialPrefetcher::new(4, MIB, TierId(0))),
-        Box::new(ParallelPrefetcher::new(4, 4, MIB, TierId(0))),
+        Box::new(WindowPrefetcher::new("serial", 1, 4, MIB)),
+        Box::new(WindowPrefetcher::new("parallel", 4, 4, MIB)),
         Box::new(InMemoryNaive::new(4, MIB, 8)),
         Box::new(InMemoryOptimal::new(mib(32), 16, 4, MIB, 2)),
-        Box::new(AppCentricPrefetcher::new(4, MIB, TierId(0), 8)),
-        Box::new(StackerLike::new(MIB, TierId(0), 2, 8)),
-        Box::new(KnowAcLike::from_scripts(scripts, 4, MIB, TierId(0), 8)),
+        Box::new(AppCentricPrefetcher::new(4, MIB, 8)),
+        Box::new(StackerLike::new(MIB, 2, 8)),
+        Box::new(KnowAcLike::from_scripts(scripts, 4, MIB, 8)),
         Box::new(HFetchPolicy::new(HFetchConfig::default(), &hierarchy())),
     ]
 }
@@ -162,7 +162,7 @@ fn simulation_is_deterministic_across_policies() {
     for build_policy in [
         || Box::new(NoPrefetch) as Box<dyn PrefetchPolicy>,
         || Box::new(HFetchPolicy::new(HFetchConfig::default(), &hierarchy())) as _,
-        || Box::new(StackerLike::new(MIB, TierId(0), 2, 8)) as _,
+        || Box::new(StackerLike::new(MIB, 2, 8)) as _,
     ] {
         let (f1, s1) = w.build();
         let (r1, _) =
@@ -196,7 +196,7 @@ fn knowac_profile_cost_is_the_tradeoff() {
             .0
     };
     let none = run(Box::new(NoPrefetch));
-    let knowac = run(Box::new(KnowAcLike::from_scripts(&scripts, 4, MIB, TierId(0), 16)));
+    let knowac = run(Box::new(KnowAcLike::from_scripts(&scripts, 4, MIB, 16)));
     let end_to_end = knowac.seconds() + none.seconds();
     assert!(
         end_to_end > none.seconds(),
