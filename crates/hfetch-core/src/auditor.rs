@@ -9,7 +9,9 @@
 //!   predecessors raise the segment's reference count `n`, slowing decay,
 //! * **epochs** — a file is targeted for prefetching only while open for
 //!   reading (fopen→fclose); the first opener starts the epoch, the last
-//!   closer ends it,
+//!   closer ends it. Starting an epoch records the file's Eq. 1 seed (base
+//!   score or reloaded heatmap) once, and stages only the segments the
+//!   placement engine could hold,
 //! * **heatmaps** — on epoch end the score vector is persisted; a re-open
 //!   reloads it, giving repeat phases (Montage re-projection, WRF
 //!   iterations) instant history without offline profiling.
@@ -83,7 +85,7 @@ pub struct IngestLockStats {
     pub map_shard: u64,
     /// Update-queue locks.
     pub queue: u64,
-    /// Auxiliary mutexes (file sizes, per-process last segment, epoch
+    /// Auxiliary mutexes (per-file state, per-process last segment, epoch
     /// refcounts).
     pub auxiliary: u64,
 }
@@ -95,11 +97,135 @@ impl IngestLockStats {
     }
 }
 
+/// The Eq. 1 state an epoch gives every segment of its file that has no
+/// statistics yet: `score(index)`, seeded at the epoch start. It is
+/// applied lazily, with the float ops an eager per-segment seed would use:
+/// on the segment's first read, in lookahead peeks and in heatmap
+/// snapshots. A later epoch of the file replaces it: a never-read segment
+/// the new epoch scores 0 starts from zero rather than from the earlier
+/// seed. Heatmaps only grow and the base score is fixed, so that takes a
+/// reloaded score decaying to exactly 0.0 (over 1,000 idle time steps at
+/// p = 2).
+#[derive(Debug)]
+struct EpochSeed {
+    at: Timestamp,
+    base: f64,
+    /// Heatmap history, with its decay from the snapshot to `at`.
+    history: Option<(Arc<FileHeatmap>, f64)>,
+}
+
+impl EpochSeed {
+    /// The staging score of segment `index` (0 = not staged).
+    fn score(&self, index: u64) -> f64 {
+        let historical = self.history.as_ref().map_or(0.0, |(h, decay)| h.score(index) * decay);
+        historical.max(self.base)
+    }
+
+    /// The seeded score state of segment `index`, if it is staged.
+    fn state(&self, index: u64) -> Option<ScoreState> {
+        let score = self.score(index);
+        (score > 0.0).then(|| {
+            let mut state = ScoreState::new();
+            state.seed(score, self.at);
+            state
+        })
+    }
+}
+
+/// A first opener's staging, deferred in the update queue until the next
+/// drain (see [`Auditor::start_epoch_bounded`]).
+pub(crate) struct Staging {
+    pub(crate) file: FileId,
+    size: u64,
+    segment_size: u64,
+    seed: Arc<EpochSeed>,
+    /// Full-size segments the placement engine can hold.
+    slots: u64,
+}
+
+impl Staging {
+    /// The staging update of segment `index`, if it is staged.
+    pub(crate) fn update(&self, index: u64) -> Option<ScoreUpdate> {
+        let score = self.seed.score(index);
+        (score > 0.0 && index < segment_count(self.size, self.segment_size)).then(|| ScoreUpdate {
+            segment: SegmentId::new(self.file, index),
+            score,
+            size: segment_range(index, self.segment_size, self.size).len,
+            anticipated: true,
+        })
+    }
+
+    /// The staging updates a pass could act on among the segments without
+    /// a slot: the top `slots` full-size segments in the engine's order
+    /// (score descending, index ascending), plus the short tail.
+    pub(crate) fn expand(&self, slotted: impl Fn(SegmentId) -> bool) -> Vec<ScoreUpdate> {
+        let free = |i: &u64| !slotted(SegmentId::new(self.file, *i));
+        let full = self.size / self.segment_size;
+        let k = usize::try_from(self.slots).unwrap_or(usize::MAX);
+        let mut staged: Vec<ScoreUpdate> = match &self.seed.history {
+            // A uniform score: the engine's order is the index order.
+            None => (0..full).filter(free).filter_map(|i| self.update(i)).take(k).collect(),
+            Some(_) => {
+                let mut ranked: Vec<ScoreUpdate> =
+                    (0..full).filter(free).filter_map(|i| self.update(i)).collect();
+                if ranked.len() > k {
+                    if k > 0 {
+                        ranked.select_nth_unstable_by(k - 1, |a, b| {
+                            b.score.total_cmp(&a.score).then(a.segment.cmp(&b.segment))
+                        });
+                    }
+                    ranked.truncate(k);
+                }
+                ranked
+            }
+        };
+        let segments = segment_count(self.size, self.segment_size);
+        staged.extend((full..segments).filter(free).filter_map(|i| self.update(i)));
+        staged
+    }
+}
+
+/// What the auditor knows per file, under one lock.
+#[derive(Debug, Default)]
+struct FileState {
+    size: u64,
+    /// The latest epoch's seed.
+    seed: Option<Arc<EpochSeed>>,
+    /// Bitset of the segment indices that have statistics (were read).
+    read: Vec<u64>,
+}
+
+impl FileState {
+    fn mark_read(&mut self, first: u64, last: u64) {
+        let words = (last / 64 + 1) as usize;
+        if self.read.len() < words {
+            self.read.resize(words, 0);
+        }
+        for index in first..=last {
+            self.read[(index / 64) as usize] |= 1 << (index % 64);
+        }
+    }
+
+    /// The indices marked read, ascending.
+    fn read_indices(&self) -> impl Iterator<Item = u64> + '_ {
+        self.read.iter().enumerate().flat_map(|(w, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let bit = bits.trailing_zeros() as u64;
+                    bits &= bits - 1;
+                    w as u64 * 64 + bit
+                })
+            })
+        })
+    }
+}
+
 /// The File Segment Auditor.
 pub struct Auditor {
     cfg: HFetchConfig,
     stats: DistributedMap<SegmentId, SegmentStat>,
-    file_sizes: Mutex<FxHashMap<FileId, u64>>,
+    files: Mutex<FxHashMap<FileId, FileState>>,
     last_by_process: Mutex<FxHashMap<ProcessId, SegmentId>>,
     epoch_refs: Mutex<FxHashMap<FileId, u32>>,
     updates: UpdateQueue,
@@ -124,7 +250,7 @@ impl Auditor {
         Self {
             cfg,
             stats: DistributedMap::with_topology(1, 32),
-            file_sizes: Mutex::new(FxHashMap::default()),
+            files: Mutex::new(FxHashMap::default()),
             last_by_process: Mutex::new(FxHashMap::default()),
             epoch_refs: Mutex::new(FxHashMap::default()),
             updates: UpdateQueue::new(),
@@ -170,15 +296,15 @@ impl Auditor {
     /// bounded.
     pub fn set_file_size(&self, file: FileId, size: u64) {
         self.aux_lock();
-        let mut sizes = self.file_sizes.lock();
-        let entry = sizes.entry(file).or_insert(0);
-        *entry = (*entry).max(size);
+        let mut files = self.files.lock();
+        let state = files.entry(file).or_default();
+        state.size = state.size.max(size);
     }
 
     /// The recorded size of `file`.
     pub fn file_size(&self, file: FileId) -> u64 {
         self.aux_lock();
-        self.file_sizes.lock().get(&file).copied().unwrap_or(0)
+        self.files.lock().get(&file).map_or(0, |f| f.size)
     }
 
     /// Lock acquisitions across the ingestion path since construction.
@@ -211,12 +337,38 @@ impl Auditor {
         o.gauge_set("ingest.queue.pending", obs::Label::None, self.updates.pending());
     }
 
-    /// Starts (or joins) a prefetching epoch for `file`. Returns true for
-    /// the first concurrent opener. The first opener stages the file:
-    /// every segment gets an anticipated update — heatmap history if
-    /// available, otherwise the configured base score — so the engine can
-    /// pre-load hot regions before the first read.
+    /// Starts (or joins) a prefetching epoch for `file` with no placement
+    /// engine to bound the staging: every segment with a positive staging
+    /// score is queued. Both deployments stage through the engine instead
+    /// ([`Auditor::start_epoch_bounded`] with the engine's capacity).
     pub fn start_epoch(&self, file: FileId, now: Timestamp) -> bool {
+        self.start_epoch_bounded(file, now, u64::MAX, Vec::new)
+    }
+
+    /// Starts (or joins) a prefetching epoch for `file`. Returns true for
+    /// the first concurrent opener, which stages the file: every segment's
+    /// staging score — heatmap history if available, otherwise the
+    /// configured base score — is recorded once as the file's epoch seed,
+    /// and each segment with a positive score gets an anticipated update,
+    /// so the engine can pre-load hot regions before the first read.
+    ///
+    /// Only updates Algorithm 1 could act on are materialised. The
+    /// segments `held` returns (those the engine places, which staging
+    /// re-settles) and the file's pending slots (which staging overwrites)
+    /// are pushed now. The rest stay one deferred [`Staging`] record that
+    /// the next drain expands into the top `slots` full-size segments
+    /// still without a slot, in the engine's order, plus the short tail.
+    /// A pass holds at most `slots` full-size segments, and a segment that
+    /// cannot be placed changes nothing, so the pass plans exactly what it
+    /// would with every segment's update queued. The pending count still
+    /// grows by one per staged segment, so the engine triggers as before.
+    pub fn start_epoch_bounded(
+        &self,
+        file: FileId,
+        now: Timestamp,
+        slots: u64,
+        held: impl FnOnce() -> Vec<u64>,
+    ) -> bool {
         let first = {
             self.aux_lock();
             let mut refs = self.epoch_refs.lock();
@@ -230,36 +382,35 @@ impl Auditor {
         self.cfg
             .obs
             .trace_event(obs::TraceEvent::EpochStart { at: now.as_nanos(), file: file.0 });
-        // One size lookup for the whole staging pass.
-        let size = self.file_size(file);
-        let segments = segment_count(size, self.cfg.segment_size);
-        let history = self.heatmaps.load(file);
-        let mut staged: Vec<ScoreUpdate> = Vec::with_capacity(segments as usize);
-        for index in 0..segments {
-            let seg = SegmentId::new(file, index);
-            let seg_size = segment_range(index, self.cfg.segment_size, size).len;
-            let historical = history.as_ref().map_or(0.0, |h| {
-                // Decay the stored score from its snapshot time to now.
-                h.score(index)
-                    * self.cfg.score.decay(now.since(h.saved_at), 1)
-            });
-            let score = historical.max(self.cfg.epoch_base_score);
-            if score > 0.0 {
-                staged.push(ScoreUpdate { segment: seg, score, size: seg_size, anticipated: true });
-            }
-        }
-        // Seed the live score states so future decay is consistent: one
-        // map pass (one write lock per shard visited), then one queue push.
-        let keys: Vec<SegmentId> = staged.iter().map(|u| u.segment).collect();
-        self.stats.update_many_with(&keys, SegmentStat::default, |idx, st| {
-            if st.frequency == 0 {
-                st.score.seed(staged[idx].score, now);
-            }
+        let history = self.heatmaps.load(file).map(|h| {
+            // Decay the stored scores from their snapshot time to now.
+            let decay = self.cfg.score.decay(now.since(h.saved_at), 1);
+            (h, decay)
         });
-        self.updates.push(&staged);
-        if !staged.is_empty() {
-            self.note_ingest(now);
+        let seed = Arc::new(EpochSeed { at: now, base: self.cfg.epoch_base_score, history });
+        let size = {
+            self.aux_lock();
+            let mut files = self.files.lock();
+            let state = files.entry(file).or_default();
+            state.seed = Some(Arc::clone(&seed));
+            state.size
+        };
+        let staging =
+            Staging { file, size, segment_size: self.cfg.segment_size, seed, slots };
+        let segments = segment_count(size, staging.segment_size);
+        let staged = match &staging.seed.history {
+            None if staging.seed.base > 0.0 => segments,
+            None => 0,
+            Some(_) => (0..segments).filter(|&i| staging.seed.score(i) > 0.0).count() as u64,
+        };
+        if staged == 0 {
+            return true;
         }
+        let mut held: Vec<u64> = held();
+        held.retain(|&i| i < segments && staging.seed.score(i) > 0.0);
+        held.sort_unstable();
+        self.updates.push_staging(staging, staged, &held);
+        self.note_ingest(now);
         true
     }
 
@@ -328,19 +479,27 @@ impl Auditor {
         process: ProcessId,
         now: Timestamp,
     ) -> usize {
-        // One size lookup for the whole call.
-        let size = self.file_size(file);
-        if size == 0 || range.offset >= size {
-            return 0;
-        }
-        let clamped = ByteRange::from_bounds(range.offset, range.end().min(size));
-        let Some((first, last)) = clamped.segment_span(self.cfg.segment_size) else {
-            return 0;
+        // One file-state acquisition for the whole call: the size, the
+        // epoch seed, and the read marks of the touched segments.
+        let (size, first, last, seed) = {
+            self.aux_lock();
+            let mut files = self.files.lock();
+            let Some(state) = files.get_mut(&file) else { return 0 };
+            let size = state.size;
+            if size == 0 || range.offset >= size {
+                return 0;
+            }
+            let clamped = ByteRange::from_bounds(range.offset, range.end().min(size));
+            let Some((first, last)) = clamped.segment_span(self.cfg.segment_size) else {
+                return 0;
+            };
+            state.mark_read(first, last);
+            (size, first, last, state.seed.clone())
         };
         let keys: Vec<SegmentId> = (first..=last).map(|index| SegmentId::new(file, index)).collect();
         let last_seg = SegmentId::new(file, last);
         self.aux_lock();
-        let carried = self.last_by_process.lock().get(&process).copied();
+        let carried = self.last_by_process.lock().insert(process, last_seg);
         let params = self.cfg.score;
         let seg_size = |index: u64| segment_range(index, self.cfg.segment_size, size).len;
         // Predecessors are known up front: the first touched segment
@@ -348,6 +507,12 @@ impl Auditor {
         // from its in-request neighbour. That lets every segment apply in
         // one batched pass over the shards (one lock per shard visited).
         let scores = self.stats.update_many_with(&keys, SegmentStat::default, |idx, st| {
+            if st.frequency == 0 {
+                // First read: start from the epoch's seed.
+                if let Some(seeded) = seed.as_ref().and_then(|s| s.state(keys[idx].index)) {
+                    st.score = seeded;
+                }
+            }
             let prev = match idx {
                 0 => carried.filter(|p| p.file == file && *p != keys[0]),
                 _ => Some(keys[idx - 1]),
@@ -382,10 +547,12 @@ impl Auditor {
                 break;
             }
             let succ = SegmentId::new(file, index);
-            // In-place peek: no `SegmentStat` clone.
+            // In-place peek: no `SegmentStat` clone. A never-read
+            // successor peeks its epoch seed (reference count 1).
             let existing = self
                 .stats
                 .get_with(&succ, |st| st.score.peek(now, &params, st.n()))
+                .or_else(|| seed.as_ref()?.state(index).map(|s| s.peek(now, &params, 1)))
                 .unwrap_or(0.0);
             let score = existing.max(anticipated);
             if score > 0.0 {
@@ -395,8 +562,6 @@ impl Auditor {
         // The whole read — observed segments in request order, then the
         // lookahead — enters the queue under one lock.
         self.updates.push(&batch);
-        self.aux_lock();
-        self.last_by_process.lock().insert(process, last_seg);
         self.note_ingest(now);
         keys.len()
     }
@@ -428,19 +593,38 @@ impl Auditor {
         self.updates.pending() as usize
     }
 
-    /// Current statistics for one segment.
+    /// Current statistics for one segment; `None` until it is first read
+    /// (a staged segment's seed lives in its file's epoch record).
     pub fn stat(&self, segment: SegmentId) -> Option<SegmentStat> {
         self.stats.get(&segment)
     }
 
     /// Builds the current heatmap of `file` (scores evaluated at `now`).
+    /// Never-read segments decay their epoch seed (one decay factor for
+    /// all of them); only the segments marked read are looked up.
     pub fn snapshot_heatmap(&self, file: FileId, now: Timestamp) -> FileHeatmap {
-        let size = self.file_size(file);
+        let (size, seed, read): (u64, Option<Arc<EpochSeed>>, Vec<u64>) = {
+            self.aux_lock();
+            match self.files.lock().get(&file) {
+                Some(f) => (f.size, f.seed.clone(), f.read_indices().collect()),
+                None => (0, None, Vec::new()),
+            }
+        };
         let segments = segment_count(size, self.cfg.segment_size) as usize;
         let params = self.cfg.score;
         let mut heatmap = FileHeatmap::cold(file, self.cfg.segment_size, segments);
         heatmap.saved_at = now;
-        for index in 0..segments as u64 {
+        if let Some(seed) = seed {
+            // `ScoreState::peek` of the seeded state, with `n = 1`.
+            let decay = params.decay(now.since(seed.at), 1);
+            for (index, score) in heatmap.scores.iter_mut().enumerate() {
+                let seeded = seed.score(index as u64);
+                if seeded > 0.0 {
+                    *score = seeded * decay;
+                }
+            }
+        }
+        for index in read.into_iter().filter(|&i| i < segments as u64) {
             let peeked = self
                 .stats
                 .get_with(&SegmentId::new(file, index), |st| st.score.peek(now, &params, st.n()));
@@ -457,14 +641,14 @@ impl Auditor {
     }
 
     /// Forgets everything about `file` (workflow end / file deletion),
-    /// including score updates still queued for the engine — a stale
-    /// pending update would otherwise resurrect placement for a file
-    /// whose statistics no longer exist.
+    /// including its epoch seed and the score updates still queued for the
+    /// engine — a stale pending update would otherwise resurrect placement
+    /// for a file whose statistics no longer exist.
     pub fn forget_file(&self, file: FileId) {
         self.stats.retain(|seg, _| seg.file != file);
         self.updates.purge_file(file);
         self.aux_lock();
-        self.file_sizes.lock().remove(&file);
+        self.files.lock().remove(&file);
         self.aux_lock();
         let mut last = self.last_by_process.lock();
         last.retain(|_, seg| seg.file != file);
@@ -586,6 +770,69 @@ mod tests {
         assert!(updates.iter().all(|u| u.anticipated));
         assert_eq!(updates[3].size, 1);
         assert!(updates.iter().all(|u| u.score > 0.0));
+    }
+
+    /// The epoch seed applies lazily with the float ops of an eagerly
+    /// seeded state: on a segment's first read, in the lookahead's peek of
+    /// a never-read successor, and in the heatmap snapshot.
+    #[test]
+    fn first_read_lookahead_and_snapshot_start_from_the_epoch_seed() {
+        let cfg = HFetchConfig { epoch_base_score: 3.0, lookahead: 1, ..Default::default() };
+        let a = Auditor::new(cfg.clone());
+        a.set_file_size(F, 4 * MIB);
+        let (t0, t1, t2) =
+            (Timestamp::from_secs(1), Timestamp::from_millis(1_700), Timestamp::from_secs(2));
+        a.start_epoch(F, t0);
+        a.drain_updates();
+        a.observe_read(F, ByteRange::new(MIB, MIB), ProcessId(0), t1);
+        let seeded = || {
+            let mut s = ScoreState::new();
+            s.seed(3.0, t0);
+            s
+        };
+        let read = seeded().record(t1, &cfg.score, 1);
+        let updates = a.drain_updates();
+        assert_eq!(updates[0].score.to_bits(), read.to_bits());
+        let peek = seeded().peek(t1, &cfg.score, 1);
+        assert!(peek > read * LOOKAHEAD_DECAY, "the seed, not the decayed read, wins");
+        assert_eq!(updates[1].segment, SegmentId::new(F, 2));
+        assert_eq!(updates[1].score.to_bits(), peek.to_bits());
+        let h = a.snapshot_heatmap(F, t2);
+        let stat = a.stat(SegmentId::new(F, 1)).unwrap();
+        assert_eq!(h.scores[1].to_bits(), stat.score.peek(t2, &cfg.score, 1).to_bits());
+        for i in [0, 2, 3] {
+            assert_eq!(h.scores[i].to_bits(), seeded().peek(t2, &cfg.score, 1).to_bits());
+        }
+        assert!(a.stat(SegmentId::new(F, 0)).is_none(), "staging writes no statistics");
+    }
+
+    /// Bounded staging queues the top `slots` segments by reloaded score
+    /// (index breaks ties), the short tail, the held segments and the
+    /// file's pending slots; the pending count still covers every segment.
+    #[test]
+    fn bounded_staging_queues_what_a_pass_could_place() {
+        let a = auditor();
+        a.set_file_size(F, 8 * MIB + 1);
+        let t = Timestamp::from_secs(1);
+        a.start_epoch(F, t);
+        a.drain_updates();
+        for (index, reads) in [(5, 3), (2, 2), (6, 2)] {
+            for p in 0..reads {
+                a.observe_read(F, ByteRange::new(index * MIB, MIB), ProcessId(p), t);
+            }
+        }
+        a.end_epoch(F, t);
+        // A pending read of segment 7 (plus its lookahead) before re-open.
+        a.drain_updates();
+        a.observe_read(F, ByteRange::new(7 * MIB, MIB), ProcessId(9), t);
+        let before = a.pending_updates();
+        a.start_epoch_bounded(F, Timestamp::from_secs(2), 2, || vec![0]);
+        assert_eq!(a.pending_updates() - before, 9, "one per staged segment");
+        let mut queued: Vec<u64> = a.drain_updates().iter().map(|u| u.segment.index).collect();
+        queued.sort_unstable();
+        // 5 (hottest), then 2 and 6 tie and 2 wins; 0 held; 7 and the
+        // lookahead's 8 (the tail) pending.
+        assert_eq!(queued, vec![0, 2, 5, 7, 8]);
     }
 
     #[test]

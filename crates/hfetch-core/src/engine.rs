@@ -320,28 +320,23 @@ impl PlacementEngine {
             }
             // CalculatePlacement line 2: does the segment belong here?
             // (With hysteresis: it must beat the tier minimum by the
-            // displacement margin, unless there is free room.)
+            // displacement margin, unless there is free room.) It belongs
+            // only if demoting every victim it beats frees enough room:
+            // checked before demoting anything, so a tier the segment
+            // cannot enter is left untouched.
             let margin = self.margin;
             let beats = move |vkey: ScoreKey| key.score() > vkey.score() * margin;
-            let belongs = self.tiers[idx].free() >= size
-                || self.tiers[idx].min_key().is_some_and(beats);
-            if !belongs {
+            if !self.can_make_room(idx, size, beats) {
                 continue;
             }
             // Make room by demoting sufficiently colder segments
-            // (lines 3-5).
+            // (lines 3-5), coldest first.
             while self.tiers[idx].free() < size {
-                let victim = match self.tiers[idx].contents.first().copied() {
-                    Some((vkey, vseg)) if beats(vkey) => (vkey, vseg),
-                    _ => break, // remaining segments are too hot to displace
-                };
-                let (vkey, vseg) = victim;
+                let (vkey, vseg) =
+                    self.tiers[idx].contents.first().copied().expect("room was checked");
                 let vsize = self.placed[&vseg].size;
                 let vorigin = self.unplace(vseg);
                 self.settle(vseg, vsize, vkey, vorigin, idx + 1, actions);
-            }
-            if self.tiers[idx].free() < size {
-                continue; // could not make room; try the next tier down
             }
             // Place here (lines 6-8).
             let tier_id = self.tiers[idx].id;
@@ -373,6 +368,33 @@ impl PlacementEngine {
             actions.push(PlacementAction::Evict { segment, from });
             self.record_placement(segment, Some(from), None, key, size, obs::Cause::Evict);
         }
+    }
+
+    /// True if tier `idx` has `size` bytes free once the segments `beats`
+    /// displaces are demoted, coldest first. Demotions settle strictly
+    /// below `idx`, so they free exactly the bytes counted here.
+    fn can_make_room(&self, idx: usize, size: u64, beats: impl Fn(ScoreKey) -> bool) -> bool {
+        let tier = &self.tiers[idx];
+        let mut room = tier.free();
+        for (vkey, vseg) in &tier.contents {
+            if room >= size || !beats(*vkey) {
+                break;
+            }
+            room += self.placed[vseg].size;
+        }
+        room >= size
+    }
+
+    /// How many `segment_size` segments the cache tiers hold at most:
+    /// Σ ⌊capacity ÷ segment size⌋. No pass can place more full-size
+    /// segments than this, which bounds epoch staging.
+    pub fn segment_slots(&self, segment_size: u64) -> u64 {
+        self.tiers.iter().map(|t| t.capacity / segment_size).sum()
+    }
+
+    /// Indices of `file`'s segments the model currently places.
+    pub fn placed_indices(&self, file: FileId) -> Vec<u64> {
+        self.placed.keys().filter(|s| s.file == file).map(|s| s.index).collect()
     }
 
     /// Where `segment` is currently placed.
@@ -767,6 +789,39 @@ mod tests {
         let mut e = engine();
         assert!(e.set_tier_offline(TierId(3), true).is_empty());
         assert!(!e.tier_offline(TierId(3)));
+    }
+
+    /// A segment that cannot win enough room in a tier leaves it alone:
+    /// no victim is demoted for a placement that then goes elsewhere.
+    #[test]
+    fn failed_make_room_demotes_nothing() {
+        let h = Hierarchy::with_budgets(5 * MIB / 2, 8 * MIB, 8 * MIB);
+        let mut e = PlacementEngine::new(&h, Reactiveness::high());
+        let tail = ScoreUpdate {
+            segment: SegmentId::new(FileId(2), 0),
+            score: 0.1,
+            size: MIB / 4,
+            anticipated: false,
+        };
+        e.run(vec![update(0, 10.0), update(1, 10.0), tail], Timestamp::ZERO);
+        assert_eq!(e.location(tail.segment), Some(TierId(0)));
+        // 1.0 beats only the 256 KiB tail: 256 KiB free + 256 KiB
+        // beatable cannot hold 1 MiB, so RAM is skipped untouched.
+        let f3 = SegmentId::new(FileId(3), 0);
+        let actions = e.run(
+            vec![ScoreUpdate { segment: f3, score: 1.0, size: MIB, anticipated: false }],
+            Timestamp::ZERO,
+        );
+        assert_eq!(actions, vec![PlacementAction::Fetch { segment: f3, to: TierId(1) }]);
+        assert_eq!(e.location(tail.segment), Some(TierId(0)), "tail not demoted");
+        e.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn segment_slots_floor_each_tier() {
+        let h = Hierarchy::with_budgets(5 * MIB / 2, 4 * MIB, 8 * MIB + 1);
+        let e = PlacementEngine::new(&h, Reactiveness::high());
+        assert_eq!(e.segment_slots(MIB), 2 + 4 + 8);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The placement loop both deployments share (§III-A: one engine feeding
 //! one set of I/O clients).
 //!
+//! [`Executor::start_epoch`] stages a file against the engine's capacity;
 //! [`Executor::run_engine`] drains the auditor's score updates into one
 //! Algorithm 1 pass; [`Executor::execute`] turns placement actions into
 //! data movement, bounded by the I/O-client slots, retrying capacity
@@ -86,6 +87,14 @@ impl Executor {
     /// True when no action is queued and no transfer is in flight.
     pub(crate) fn is_idle(&self) -> bool {
         self.queue.is_empty() && self.inflight == 0
+    }
+
+    /// Starts (or joins) `file`'s epoch, staging no more than the engine
+    /// could place: its segment slots, plus the segments of `file` it
+    /// already holds.
+    pub(crate) fn start_epoch(&self, auditor: &Auditor, file: FileId, now: Timestamp) -> bool {
+        let slots = self.engine.segment_slots(self.cfg.segment_size);
+        auditor.start_epoch_bounded(file, now, slots, || self.engine.placed_indices(file))
     }
 
     /// One engine pass over the drained updates, then its actions.

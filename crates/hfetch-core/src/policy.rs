@@ -98,7 +98,7 @@ impl PrefetchPolicy for HFetchPolicy {
         ctl: &mut SimCtl<'_>,
     ) {
         self.auditor.set_file_size(file, ctl.file_size(file));
-        self.auditor.start_epoch(file, now);
+        self.exec.start_epoch(&self.auditor, file, now);
         self.maybe_run(now, ctl);
     }
 

@@ -342,7 +342,9 @@ impl ServerInner {
         match access.kind {
             AccessKind::Open => {
                 self.auditor.set_file_size(access.file, self.registry.size_of(access.file));
-                self.auditor.start_epoch(access.file, now);
+                // Under the placement lock: no pass runs between reading
+                // the engine's holdings and queueing the staging batch.
+                self.placement.lock().exec.start_epoch(&self.auditor, access.file, now);
             }
             AccessKind::Read => {
                 self.auditor.observe_read(access.file, access.range, access.process, now);
@@ -905,6 +907,90 @@ mod tests {
         assert_eq!(cached, 0, "write invalidated all cached bytes");
         shim.fclose(&r);
         shim.fclose(&w);
+        server.shutdown();
+    }
+
+    /// Polls `done` every millisecond for up to ten seconds.
+    fn wait_until(what: &str, done: impl Fn() -> bool) {
+        for _ in 0..10_000 {
+            if done() {
+                return;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        panic!("timed out waiting until {what}");
+    }
+
+    /// Opening a file eight times the cache queues only the updates a
+    /// pass could place, and the heatmap saved at close is the closed
+    /// form: each read segment's score, every other segment's epoch seed
+    /// decayed to the close.
+    #[test]
+    fn staging_is_bounded_by_the_cache_and_the_heatmap_closes_in_closed_form() {
+        use tiers::ids::{AppId, ProcessId};
+        use tiers::time::Timestamp;
+        let rec = obs::Recorder::enabled();
+        // No trigger fires on its own: the test drains the staging itself.
+        let seg = 64 * tiers::units::KIB;
+        let cfg = HFetchConfig {
+            segment_size: seg,
+            reactiveness: crate::config::Reactiveness {
+                interval: Duration::from_secs(3600),
+                score_updates: usize::MAX,
+            },
+            obs: rec.clone(),
+            ..Default::default()
+        };
+        let hierarchy = Hierarchy::with_budgets(4 * seg, 8 * seg, 16 * seg);
+        let n = hierarchy.len();
+        let backends = (0..n).map(|_| Arc::new(MemoryBackend::new()) as _).collect();
+        // One monitor daemon: events apply in order.
+        let server = HFetchServer::start(cfg.clone(), hierarchy, backends, 1);
+        let shim = Arc::clone(server.shim());
+        let size = 8 * 28 * seg + seg / 2;
+        shim.stage_file("/data/big", size).unwrap();
+        let (h, _) = shim.fopen("/data/big", events::shim::OpenMode::Read, ProcessId(0), AppId(0));
+        let auditor = server.inner().auditor();
+        wait_until("the open is staged", || auditor.pending_updates() > 0);
+        // Nothing of the file was placed or pending: the engine's 4 + 8 +
+        // 16 slots, plus the tail.
+        let queued: Vec<u64> = auditor.drain_updates().iter().map(|u| u.segment.index).collect();
+        let mut expected: Vec<u64> = (0..28).collect();
+        expected.push(8 * 28);
+        assert_eq!(queued, expected);
+
+        for index in [3, 4, 100] {
+            shim.fread_at(&h, ByteRange::new(index * seg, seg)).unwrap();
+        }
+        shim.fclose(&h);
+        wait_until("the heatmap is saved", || auditor.heatmaps().load(h.file()).is_some());
+        let saved = auditor.heatmaps().load(h.file()).unwrap();
+        let opened = rec
+            .trace_events()
+            .into_iter()
+            .find_map(|e| match e {
+                obs::TraceEvent::EpochStart { at, .. } => Some(Timestamp::from_nanos(at)),
+                _ => None,
+            })
+            .unwrap();
+        let params = cfg.score;
+        let closed_form: Vec<u64> = (0..saved.scores.len() as u64)
+            .map(|index| {
+                let score = match auditor.stat(SegmentId::new(h.file(), index)) {
+                    Some(st) => st.score.peek(saved.saved_at, &params, st.n()),
+                    None => {
+                        let mut seed = crate::scoring::ScoreState::new();
+                        seed.seed(cfg.epoch_base_score, opened);
+                        seed.peek(saved.saved_at, &params, 1)
+                    }
+                };
+                score.to_bits()
+            })
+            .collect();
+        let scores: Vec<u64> = saved.scores.iter().map(|s| s.to_bits()).collect();
+        assert_eq!(scores.len() as u64, 8 * 28 + 1);
+        assert_eq!(scores, closed_form);
+        assert!(saved.scores[3] > saved.scores[0], "read segments run hotter");
         server.shutdown();
     }
 }

@@ -9,6 +9,9 @@
 //! A multi-segment read or an epoch's staging pushes its updates as one
 //! batch under one lock acquisition, in request order, so the queue costs
 //! one lock per ingested event regardless of how many segments it touches.
+//! An epoch's staging is mostly deferred: the queue keeps one record per
+//! staged file and the drain expands it into the updates a pass could act
+//! on ([`crate::auditor::Auditor::start_epoch_bounded`]).
 //!
 //! Accounting: `pending()` counts **raw pushes** — the engine's
 //! count-based trigger (Reactiveness, §III-D) fires on access volume, not
@@ -22,7 +25,7 @@ use dht::FxHashMap;
 use parking_lot::Mutex;
 use tiers::ids::{FileId, SegmentId};
 
-use crate::auditor::ScoreUpdate;
+use crate::auditor::{ScoreUpdate, Staging};
 
 /// One coalesced slot: the latest update for a segment plus the raw
 /// pushes it absorbed.
@@ -31,11 +34,30 @@ struct Slot {
     update: ScoreUpdate,
 }
 
-/// Slots in first-touch order plus a segment → slot index.
+/// Slots in first-touch order plus a segment → slot index, and the
+/// deferred epoch stagings with the raw pushes each stands for.
 #[derive(Default)]
 struct Slots {
     slots: Vec<Slot>,
     index: FxHashMap<SegmentId, usize>,
+    staging: Vec<(Staging, u64)>,
+}
+
+impl Slots {
+    /// Overwrites `update`'s pending slot, or opens one at the end.
+    fn coalesce(&mut self, update: ScoreUpdate) {
+        match self.index.entry(update.segment) {
+            std::collections::hash_map::Entry::Occupied(e) => {
+                let slot = &mut self.slots[*e.get()];
+                slot.update = update;
+                slot.raw += 1;
+            }
+            std::collections::hash_map::Entry::Vacant(e) => {
+                e.insert(self.slots.len());
+                self.slots.push(Slot { raw: 1, update });
+            }
+        }
+    }
 }
 
 /// Pending score updates, coalesced to the latest value per segment.
@@ -63,35 +85,63 @@ impl UpdateQueue {
             return;
         }
         self.locks.fetch_add(1, Ordering::Relaxed);
-        let mut guard = self.slots.lock();
-        let q = &mut *guard;
+        let mut q = self.slots.lock();
         for &update in updates {
-            match q.index.entry(update.segment) {
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    let slot = &mut q.slots[*e.get()];
-                    slot.update = update;
-                    slot.raw += 1;
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(q.slots.len());
-                    q.slots.push(Slot { raw: 1, update });
-                }
-            }
+            q.coalesce(update);
         }
         self.pending.fetch_add(updates.len() as u64, Ordering::Relaxed);
     }
 
-    /// Takes every pending update in first-touch order and subtracts the
-    /// raw pushes they absorbed from the pending counter.
+    /// Queues an epoch's staging, which stands for `staged` raw pushes:
+    /// the updates of the `held` segments (indices, ascending) and of the
+    /// file's other pending slots are pushed now, under the same lock; the
+    /// rest stay deferred in `staging` until the next drain expands it.
+    pub(crate) fn push_staging(&self, staging: Staging, staged: u64, held: &[u64]) {
+        self.locks.fetch_add(1, Ordering::Relaxed);
+        let mut q = self.slots.lock();
+        let file = staging.file;
+        let mut pushed: Vec<ScoreUpdate> =
+            held.iter().filter_map(|&i| staging.update(i)).collect();
+        for slot in &q.slots {
+            let index = slot.update.segment.index;
+            if slot.update.segment.file == file && held.binary_search(&index).is_err() {
+                pushed.extend(staging.update(index));
+            }
+        }
+        for &update in &pushed {
+            q.coalesce(update);
+        }
+        // A re-staging before the drain replaces the file's deferred
+        // record, keeping the raw pushes it stood for.
+        let mut deferred = staged - pushed.len() as u64;
+        q.staging.retain(|(s, raw)| {
+            let keep = s.file != file;
+            if !keep {
+                deferred += raw;
+            }
+            keep
+        });
+        q.staging.push((staging, deferred));
+        self.pending.fetch_add(staged, Ordering::Relaxed);
+    }
+
+    /// Takes every pending update in first-touch order, then the
+    /// expansion of each deferred staging, and subtracts the raw pushes
+    /// they absorbed from the pending counter.
     pub fn drain(&self) -> Vec<ScoreUpdate> {
         self.locks.fetch_add(1, Ordering::Relaxed);
         let mut q = self.slots.lock();
-        q.index.clear();
         let slots = std::mem::take(&mut q.slots);
-        let raw: u64 = slots.iter().map(|slot| slot.raw).sum();
+        let staging = std::mem::take(&mut q.staging);
+        let mut raw: u64 = slots.iter().map(|slot| slot.raw).sum();
+        let mut drained: Vec<ScoreUpdate> = slots.into_iter().map(|slot| slot.update).collect();
+        for (staging, deferred) in staging {
+            drained.extend(staging.expand(|segment| q.index.contains_key(&segment)));
+            raw += deferred;
+        }
+        q.index.clear();
         self.pending.fetch_sub(raw, Ordering::Relaxed);
-        drop(q);
-        slots.into_iter().map(|slot| slot.update).collect()
+        drained
     }
 
     /// Raw pushes currently represented in the queue (the engine's
@@ -100,8 +150,8 @@ impl UpdateQueue {
         self.pending.load(Ordering::Relaxed)
     }
 
-    /// Removes every pending update for `file`, returning how many slots
-    /// were dropped. Called when the auditor forgets a file so the engine
+    /// Removes every pending update for `file`, and its deferred staging,
+    /// returning how many slots were dropped. Called when the auditor forgets a file so the engine
     /// never sees scores for state that no longer exists.
     pub fn purge_file(&self, file: FileId) -> usize {
         self.locks.fetch_add(1, Ordering::Relaxed);
@@ -116,11 +166,18 @@ impl UpdateQueue {
             }
             keep
         });
+        q.staging.retain(|(staging, deferred)| {
+            let keep = staging.file != file;
+            if !keep {
+                dropped_raw += deferred;
+            }
+            keep
+        });
         let dropped = before - q.slots.len();
         if dropped > 0 {
             q.index = q.slots.iter().enumerate().map(|(i, slot)| (slot.update.segment, i)).collect();
-            self.pending.fetch_sub(dropped_raw, Ordering::Relaxed);
         }
+        self.pending.fetch_sub(dropped_raw, Ordering::Relaxed);
         dropped
     }
 

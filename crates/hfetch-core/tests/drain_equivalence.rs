@@ -16,11 +16,12 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use hfetch_core::auditor::{Auditor, ScoreUpdate};
-use hfetch_core::{HFetchConfig, UpdateQueue};
+use hfetch_core::{HFetchConfig, PlacementEngine, Reactiveness, UpdateQueue};
 use proptest::prelude::*;
 use tiers::ids::{FileId, ProcessId, SegmentId};
 use tiers::range::ByteRange;
 use tiers::time::Timestamp;
+use tiers::topology::Hierarchy;
 use tiers::units::MIB;
 
 fn upd(file: u64, index: u64, score: f64) -> ScoreUpdate {
@@ -198,11 +199,17 @@ fn stream_reads(stream: u64) -> Vec<(ByteRange, ProcessId, Timestamp)> {
 /// segment's score history is independent of the interleaving.
 fn canonical_drain(threads: usize) -> Vec<ScoreUpdate> {
     let auditor = Auditor::new(HFetchConfig::default());
+    // Staging is bounded by what the engine's tiers hold: a hierarchy
+    // above the dataset keeps every segment staged.
+    let hierarchy = Hierarchy::with_budgets(DATASET, DATASET, 2 * DATASET);
+    let engine = PlacementEngine::new(&hierarchy, Reactiveness::default());
+    let slots = engine.segment_slots(MIB);
+    assert!(slots >= STREAMS * DATASET / MIB);
     let streams: Vec<(FileId, Vec<_>)> =
         (0..STREAMS).map(|j| (FileId(j + 1), stream_reads(j))).collect();
     for (file, _) in &streams {
         auditor.set_file_size(*file, DATASET);
-        auditor.start_epoch(*file, Timestamp::ZERO);
+        auditor.start_epoch_bounded(*file, Timestamp::ZERO, slots, || engine.placed_indices(*file));
     }
     std::thread::scope(|s| {
         for t in 0..threads {
