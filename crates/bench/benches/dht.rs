@@ -14,10 +14,10 @@ use parking_lot::Mutex;
 use tiers::ids::{FileId, SegmentId};
 
 fn contended_update_sharded(threads: usize, per_thread: usize) {
-    let map: DistributedMap<SegmentId, u64> = DistributedMap::with_topology(4, 16);
+    let map: DistributedMap<SegmentId, u64> = DistributedMap::new();
     std::thread::scope(|s| {
         for t in 0..threads {
-            let map = map.clone();
+            let map = &map;
             s.spawn(move || {
                 for i in 0..per_thread {
                     let seg = SegmentId::new(FileId((i % 64) as u64), (t * 1000 + i) as u64 % 256);
@@ -56,7 +56,7 @@ fn bench_dht(c: &mut Criterion) {
     group.bench_function("get_hit", |b| {
         let map: DistributedMap<SegmentId, u64> = DistributedMap::new();
         for i in 0..512 {
-            map.insert(SegmentId::new(FileId(0), i), i);
+            map.update_with(SegmentId::new(FileId(0), i), || i, |_| ());
         }
         let mut i = 0u64;
         b.iter(|| {

@@ -9,9 +9,9 @@
 //! Alongside the end-to-end DES number, two ablations keep the hot-path
 //! choices honest as bench comparisons rather than dead code:
 //!
-//! * `event_state_map/{fx,std}` — the per-event state maps
-//!   (`inflight_to`, `inflight_any`, …) keyed by small integer ids, over
-//!   the in-tree FxHash vs std's SipHash,
+//! * `event_state_map/{fx,std}` — the per-event state maps (the
+//!   residency map's `(file, tier)` sets, `inflight_any`, …) keyed by small
+//!   integer ids, over the in-tree FxHash vs std's SipHash,
 //! * `sim_kernel/hfetch/obs_{off,on}` — the same DES workload through the
 //!   full HFetch policy with the observability recorder disabled (the
 //!   default: instrumented call sites pay one branch) vs enabled (typed
@@ -63,22 +63,23 @@ fn workload(ranks: u32, reads_per_rank: u32) -> (Vec<SimFile>, Vec<RankScript>) 
 
 /// The DES per-event state access pattern: upsert into a pair-keyed and a
 /// scalar-keyed map per event, periodic lookup + removal — the shape of
-/// `inflight_to`/`inflight_any` maintenance in `sim::engine`.
+/// residency (`(file, tier)`-keyed) and `inflight_any` (file-keyed)
+/// maintenance in `sim`.
 fn state_map_workout<S: std::hash::BuildHasher + Default>(files: u32, ops: u32) -> u64 {
-    let mut inflight_to: HashMap<(u32, u32), u64, S> = HashMap::default();
-    let mut inflight_any: HashMap<u32, u64, S> = HashMap::default();
+    let mut by_pair: HashMap<(u32, u32), u64, S> = HashMap::default();
+    let mut by_file: HashMap<u32, u64, S> = HashMap::default();
     let mut acc = 0u64;
     for i in 0..ops {
         let f = i.wrapping_mul(2654435761) % files;
         let t = i % 3;
-        *inflight_to.entry((f, t)).or_insert(0) += 1;
-        *inflight_any.entry(f).or_insert(0) += 1;
+        *by_pair.entry((f, t)).or_insert(0) += 1;
+        *by_file.entry(f).or_insert(0) += 1;
         if i % 4 == 0 {
-            acc += inflight_to.get(&(f, t)).copied().unwrap_or(0);
-            inflight_any.remove(&((f + 1) % files));
+            acc += by_pair.get(&(f, t)).copied().unwrap_or(0);
+            by_file.remove(&((f + 1) % files));
         }
     }
-    acc + inflight_to.len() as u64 + inflight_any.len() as u64
+    acc + by_pair.len() as u64 + by_file.len() as u64
 }
 
 struct Bench {

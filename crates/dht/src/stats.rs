@@ -19,9 +19,9 @@ pub struct MapStats {
     /// acquisition per *shard visited* instead of one per key.
     shard_locks: AtomicU64,
     /// Live entries across all shards. A *gauge*, not an op counter: it
-    /// moves with inserts/removes (including bulk removals from
-    /// `retain`/`clear`) and is NOT zeroed by [`MapStats::reset`], so the
-    /// map can serve `len()` from it in O(1) without sweeping shard locks.
+    /// moves with inserts/removes (including bulk removals from `retain`)
+    /// and is NOT zeroed by [`MapStats::reset`]: it tracks live contents,
+    /// not operations.
     entries: AtomicU64,
 }
 
@@ -51,39 +51,26 @@ impl StatsSnapshot {
         (total > 0).then(|| self.hits as f64 / total as f64)
     }
 
-    /// Exports the snapshot into an [`obs::Recorder`] under
-    /// `dht.<map>.<counter>` names: op counts and shard-lock acquisitions as
-    /// counters, live entries as a gauge. `map` must be a static name so the
-    /// registry stays allocation-light; callers export once per run (at
-    /// report time), not per operation.
-    pub fn export_obs(&self, rec: &obs::Recorder, map: &'static str) {
+    /// Exports the snapshot into an [`obs::Recorder`] under `dht.map.*`
+    /// names: op counts and shard-lock acquisitions as counters, live
+    /// entries as a gauge. Callers export once per run (at report time),
+    /// not per operation.
+    pub fn export_obs(&self, rec: &obs::Recorder) {
         if !rec.is_enabled() {
             return;
         }
         let label = obs::Label::None;
-        let pairs: [(&'static str, u64); 6] = match map {
-            "heatmap" => [
-                ("dht.heatmap.inserts", self.inserts),
-                ("dht.heatmap.updates", self.updates),
-                ("dht.heatmap.hits", self.hits),
-                ("dht.heatmap.misses", self.misses),
-                ("dht.heatmap.removes", self.removes),
-                ("dht.heatmap.shard_locks", self.shard_locks),
-            ],
-            _ => [
-                ("dht.map.inserts", self.inserts),
-                ("dht.map.updates", self.updates),
-                ("dht.map.hits", self.hits),
-                ("dht.map.misses", self.misses),
-                ("dht.map.removes", self.removes),
-                ("dht.map.shard_locks", self.shard_locks),
-            ],
-        };
-        for (name, value) in pairs {
+        for (name, value) in [
+            ("dht.map.inserts", self.inserts),
+            ("dht.map.updates", self.updates),
+            ("dht.map.hits", self.hits),
+            ("dht.map.misses", self.misses),
+            ("dht.map.removes", self.removes),
+            ("dht.map.shard_locks", self.shard_locks),
+        ] {
             rec.counter_add(name, label, value);
         }
-        let entries_name = if map == "heatmap" { "dht.heatmap.entries" } else { "dht.map.entries" };
-        rec.gauge_set(entries_name, label, self.entries);
+        rec.gauge_set("dht.map.entries", label, self.entries);
     }
 }
 
@@ -105,12 +92,7 @@ impl MapStats {
         self.misses.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn record_remove(&self) {
-        self.removes.fetch_add(1, Ordering::Relaxed);
-        self.entries.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Records `n` entries dropped by a bulk removal (`retain`, `clear`).
+    /// Records `n` entries dropped by a bulk removal (`retain`).
     pub(crate) fn record_bulk_remove(&self, n: u64) {
         self.removes.fetch_add(n, Ordering::Relaxed);
         self.entries.fetch_sub(n, Ordering::Relaxed);
@@ -119,11 +101,6 @@ impl MapStats {
     /// Records `n` shard lock acquisitions.
     pub(crate) fn record_locks(&self, n: u64) {
         self.shard_locks.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Live entry count (the gauge behind `DistributedMap::len`).
-    pub(crate) fn entries(&self) -> u64 {
-        self.entries.load(Ordering::Relaxed)
     }
 
     /// Copies the current counter values.
@@ -164,7 +141,7 @@ mod tests {
         s.record_hit();
         s.record_miss();
         s.record_update();
-        s.record_remove();
+        s.record_bulk_remove(1);
         s.record_locks(3);
         let snap = s.snapshot();
         assert_eq!(snap.inserts, 2);
@@ -192,13 +169,13 @@ mod tests {
         s.record_hit();
         s.record_locks(5);
         let rec = obs::Recorder::enabled();
-        s.snapshot().export_obs(&rec, "heatmap");
+        s.snapshot().export_obs(&rec);
         let report = rec.report();
-        assert_eq!(report.counter("dht.heatmap.inserts"), Some(1));
-        assert_eq!(report.counter("dht.heatmap.hits"), Some(1));
-        assert_eq!(report.counter("dht.heatmap.shard_locks"), Some(5));
-        assert_eq!(report.gauge("dht.heatmap.entries"), Some(1));
+        assert_eq!(report.counter("dht.map.inserts"), Some(1));
+        assert_eq!(report.counter("dht.map.hits"), Some(1));
+        assert_eq!(report.counter("dht.map.shard_locks"), Some(5));
+        assert_eq!(report.gauge("dht.map.entries"), Some(1));
         // A disabled recorder takes the early-out path.
-        s.snapshot().export_obs(&obs::Recorder::disabled(), "heatmap");
+        s.snapshot().export_obs(&obs::Recorder::disabled());
     }
 }

@@ -12,8 +12,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
-use parking_lot::Mutex;
-use tiers::faults::{EventFault, FaultPlan};
 
 use crate::event::Event;
 
@@ -23,8 +21,6 @@ pub struct QueueStats {
     pushed: AtomicU64,
     dropped: AtomicU64,
     popped: AtomicU64,
-    injected_drops: AtomicU64,
-    injected_delays: AtomicU64,
 }
 
 impl QueueStats {
@@ -43,19 +39,6 @@ impl QueueStats {
         self.popped.load(Ordering::Relaxed)
     }
 
-    /// Events discarded by the fault plan (chaos testing).
-    pub fn injected_drops(&self) -> u64 {
-        self.injected_drops.load(Ordering::Relaxed)
-    }
-
-    /// Events the fault plan marked late. The real-thread queue cannot
-    /// cheaply time-shift a FIFO, so delayed events are still enqueued in
-    /// order — the counter records how much telemetry *would* have been
-    /// stale (the simulator models the reordering for real).
-    pub fn injected_delays(&self) -> u64 {
-        self.injected_delays.load(Ordering::Relaxed)
-    }
-
     /// Exports the counters into an [`obs::Recorder`] under `events.queue.*`
     /// names. Called once per run at report time (e.g. server shutdown), not
     /// on the push/pop hot path.
@@ -67,8 +50,6 @@ impl QueueStats {
         rec.counter_add("events.queue.pushed", label, self.pushed());
         rec.counter_add("events.queue.dropped", label, self.dropped());
         rec.counter_add("events.queue.popped", label, self.popped());
-        rec.counter_add("events.queue.injected_drops", label, self.injected_drops());
-        rec.counter_add("events.queue.injected_delays", label, self.injected_delays());
     }
 }
 
@@ -81,7 +62,6 @@ pub struct EventQueue {
     rx: Receiver<Event>,
     stats: Arc<QueueStats>,
     capacity: usize,
-    faults: Option<Arc<Mutex<FaultPlan>>>,
 }
 
 impl EventQueue {
@@ -89,7 +69,7 @@ impl EventQueue {
     pub fn with_capacity(capacity: usize) -> Self {
         assert!(capacity > 0, "queue capacity must be positive");
         let (tx, rx) = bounded(capacity);
-        Self { tx, rx, stats: Arc::new(QueueStats::default()), capacity, faults: None }
+        Self { tx, rx, stats: Arc::new(QueueStats::default()), capacity }
     }
 
     /// A queue with the default capacity (64K events ≈ a few MB).
@@ -97,32 +77,10 @@ impl EventQueue {
         Self::with_capacity(64 * 1024)
     }
 
-    /// Attaches a fault plan: each non-blocking push rolls the plan's event
-    /// dice and may be discarded (counted in
-    /// [`QueueStats::injected_drops`]) before it ever reaches the channel.
-    /// Blocking pushes are exempt — they exist precisely for producers that
-    /// must not lose events.
-    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(Arc::new(Mutex::new(plan)));
-        self
-    }
-
     /// Non-blocking push. Full queues *drop* the event (counted in stats):
     /// the producer is the application's I/O path and must never stall on
     /// telemetry. Returns true if enqueued.
     pub fn push(&self, event: impl Into<Event>) -> bool {
-        if let Some(plan) = &self.faults {
-            match plan.lock().roll_event() {
-                EventFault::Deliver => {}
-                EventFault::Drop => {
-                    self.stats.injected_drops.fetch_add(1, Ordering::Relaxed);
-                    return false;
-                }
-                EventFault::Delay(_) => {
-                    self.stats.injected_delays.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
         match self.tx.try_send(event.into()) {
             Ok(()) => {
                 self.stats.pushed.fetch_add(1, Ordering::Relaxed);
@@ -250,49 +208,6 @@ mod tests {
     }
 
     #[test]
-    fn fault_plan_drops_events_before_the_channel() {
-        use tiers::faults::FaultConfig;
-        use tiers::faults::FaultPlan;
-        let q = EventQueue::with_capacity(8).with_faults(FaultPlan::new(
-            FaultConfig::with_seed(7).event_faults(1.0, 0.0, Duration::ZERO),
-        ));
-        assert!(!q.push(ev(1)), "certain drop probability discards every push");
-        assert!(!q.push(ev(2)));
-        assert!(q.is_empty());
-        assert_eq!(q.stats().injected_drops(), 2);
-        assert_eq!(q.stats().pushed(), 0);
-        // Blocking pushes bypass injection: they are the must-not-lose path.
-        assert!(q.push_blocking(ev(3)));
-        assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    fn fault_plan_counts_delays_but_keeps_order() {
-        use tiers::faults::FaultConfig;
-        use tiers::faults::FaultPlan;
-        let q = EventQueue::with_capacity(8).with_faults(FaultPlan::new(
-            FaultConfig::with_seed(7).event_faults(0.0, 1.0, Duration::from_millis(5)),
-        ));
-        assert!(q.push(ev(1)));
-        assert!(q.push(ev(2)));
-        assert_eq!(q.stats().injected_delays(), 2);
-        assert_eq!(q.try_pop().unwrap().time(), Timestamp::from_nanos(1));
-        assert_eq!(q.try_pop().unwrap().time(), Timestamp::from_nanos(2));
-    }
-
-    #[test]
-    fn inert_fault_plan_changes_nothing() {
-        use tiers::faults::FaultConfig;
-        use tiers::faults::FaultPlan;
-        let q = EventQueue::with_capacity(2).with_faults(FaultPlan::new(FaultConfig::with_seed(1)));
-        assert!(q.push(ev(1)));
-        assert!(q.push(ev(2)));
-        assert!(!q.push(ev(3)), "still drops on a full queue");
-        assert_eq!(q.stats().injected_drops(), 0);
-        assert_eq!(q.stats().dropped(), 1);
-    }
-
-    #[test]
     fn stats_export_to_recorder() {
         let q = EventQueue::with_capacity(2);
         assert!(q.push(ev(1)));
@@ -305,7 +220,6 @@ mod tests {
         assert_eq!(report.counter("events.queue.pushed"), Some(2));
         assert_eq!(report.counter("events.queue.dropped"), Some(1));
         assert_eq!(report.counter("events.queue.popped"), Some(1));
-        assert_eq!(report.counter("events.queue.injected_drops"), Some(0));
         q.stats().export_obs(&obs::Recorder::disabled());
     }
 

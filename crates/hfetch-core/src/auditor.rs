@@ -249,7 +249,7 @@ impl Auditor {
         cfg.validate();
         Self {
             cfg,
-            stats: DistributedMap::with_topology(1, 32),
+            stats: DistributedMap::new(),
             files: Mutex::new(FxHashMap::default()),
             last_by_process: Mutex::new(FxHashMap::default()),
             epoch_refs: Mutex::new(FxHashMap::default()),
@@ -328,7 +328,7 @@ impl Auditor {
         if !self.cfg.obs.is_enabled() {
             return;
         }
-        self.stats.stats().snapshot().export_obs(&self.cfg.obs, "stats");
+        self.stats.stats().snapshot().export_obs(&self.cfg.obs);
         let locks = self.ingest_lock_stats();
         let o = &self.cfg.obs;
         o.counter_add("ingest.locks.map_shard", obs::Label::None, locks.map_shard);
@@ -355,7 +355,7 @@ impl Auditor {
     /// Only updates Algorithm 1 could act on are materialised. The
     /// segments `held` returns (those the engine places, which staging
     /// re-settles) and the file's pending slots (which staging overwrites)
-    /// are pushed now. The rest stay one deferred [`Staging`] record that
+    /// are pushed now. The rest stay one deferred staging record that
     /// the next drain expands into the top `slots` full-size segments
     /// still without a slot, in the engine's order, plus the short tail.
     /// A pass holds at most `slots` full-size segments, and a segment that

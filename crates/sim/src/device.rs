@@ -76,7 +76,8 @@ impl Device {
     }
 
     /// Schedules a transfer that must not start before `earliest` (used for
-    /// pipelined two-device transfers).
+    /// store-and-forward transfers: the destination starts when the source
+    /// finishes).
     pub fn schedule_after(
         &mut self,
         now: Timestamp,
@@ -84,27 +85,6 @@ impl Device {
         bytes: u64,
     ) -> (Timestamp, Timestamp) {
         self.schedule(now.max(earliest), bytes)
-    }
-
-    /// Low-level reservation: occupies the earliest-free channel for
-    /// `duration`, starting no earlier than `now` or `earliest`. Used for
-    /// pipelined src→dst transfers where both devices are held for the
-    /// *same* window (`duration = max` of the two service times).
-    pub fn occupy(
-        &mut self,
-        now: Timestamp,
-        earliest: Timestamp,
-        duration: Duration,
-        bytes: u64,
-    ) -> (Timestamp, Timestamp) {
-        let Reverse(free) = self.channels.pop().expect("device has channels");
-        let start = now.max(earliest).max(free);
-        let finish = start.after(duration);
-        self.channels.push(Reverse(finish));
-        self.busy += duration;
-        self.transfers += 1;
-        self.bytes += bytes;
-        (start, finish)
     }
 
     /// The earliest time a new transfer could start if it arrived at `now`.

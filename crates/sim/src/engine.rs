@@ -177,8 +177,6 @@ pub struct SimCore {
     /// identical fault sequences.
     faults: Option<FaultPlan>,
     residency: ResidencyMap,
-    /// In-flight ranges per (file, destination tier).
-    inflight_to: FxHashMap<(FileId, TierId), IntervalSet>,
     /// Union of in-flight ranges per file (any destination).
     inflight_any: FxHashMap<FileId, IntervalSet>,
     ledger: CapacityLedger,
@@ -245,7 +243,6 @@ impl SimCore {
             devices,
             faults,
             residency: ResidencyMap::new(),
-            inflight_to: FxHashMap::default(),
             inflight_any: FxHashMap::default(),
             ledger,
             file_sizes: files.iter().map(|f| (f.id, f.size)).collect(),
@@ -592,12 +589,6 @@ impl SimCore {
     }
 
     fn clear_inflight_markers(&mut self, t: &Transfer, id: u32) {
-        if let Some(set) = self.inflight_to.get_mut(&(t.file, t.dst)) {
-            set.remove(t.range);
-            if set.is_empty() {
-                self.inflight_to.remove(&(t.file, t.dst));
-            }
-        }
         if let Some(set) = self.inflight_any.get_mut(&t.file) {
             set.remove(t.range);
             if set.is_empty() {
@@ -963,7 +954,6 @@ impl<'a> SimCtl<'a> {
                     }
                     core.active_by_file.entry(file).or_default().push(id);
                     core.spawned.push((finish, EventKind::TransferFinished(id)));
-                    core.inflight_to.entry((file, dst)).or_default().insert(sub);
                     core.inflight_any.entry(file).or_default().insert(sub);
                     outcome.scheduled += sub.len;
                     outcome.transfers += 1;
